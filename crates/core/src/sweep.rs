@@ -117,19 +117,30 @@ impl SweepJob {
     /// `"CCS|CG-square/Hilbert/flp2|base|480x192#0"`.
     #[must_use]
     pub fn key(&self) -> String {
-        format!(
-            "{}|{}|{}|{}x{}#{}",
+        use std::fmt::Write as _;
+        // One pre-sized buffer: every sweep builds a key per job while
+        // setting up, before any job runs.
+        let words = [
             self.game.alias(),
-            self.schedule.label(),
+            "|",
+            self.schedule.grouping.name(),
+            "/",
+            self.schedule.order.name(),
+            "/",
+            self.schedule.assignment.name(),
             if self.pipeline.upper_bound {
-                "upper"
+                "|upper|"
             } else {
-                "base"
+                "|base|"
             },
-            self.width,
-            self.height,
-            self.frame
-        )
+        ];
+        // Three u32s and their separators fit in 32 bytes.
+        let mut key = String::with_capacity(words.iter().map(|w| w.len()).sum::<usize>() + 32);
+        for word in words {
+            key.push_str(word);
+        }
+        let _ = write!(key, "{}x{}#{}", self.width, self.height, self.frame);
+        key
     }
 
     /// Hash of everything that determines this job's *results*: the

@@ -263,13 +263,11 @@ impl TextureHierarchy {
     /// Number of distinct lines ever requested (the compulsory-miss
     /// floor; `l1_accesses / distinct_lines` is the paper's
     /// "texture memory block reuse" characterization of §IV-B).
+    /// Counted as the shared L2 replays requests, so it is the union
+    /// over all private L1s at no extra cost here.
     #[must_use]
     pub fn distinct_lines(&self) -> u64 {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].seen().len();
-        }
-        let sets: Vec<_> = self.lanes.iter().map(|l| l.seen()).collect();
-        crate::lane::LineSet::union_len(&sets)
+        self.shared.distinct_lines()
     }
 
     /// How many private L1s currently hold `line` — the replication
@@ -478,6 +476,61 @@ mod tests {
         let rejoined = TextureHierarchy::join(cfg, lanes, shared);
         assert_eq!(serial.stats(), rejoined.stats());
         assert_eq!(serial.distinct_lines(), rejoined.distinct_lines());
+    }
+
+    #[test]
+    fn distinct_lines_match_a_btreeset_oracle() {
+        use std::collections::BTreeSet;
+        // Clusters below and above the texture base (line 4,194,304),
+        // at 2^26 and far above it: the count must not depend on where
+        // lines sit in the address space.
+        const CLUSTERS: [u64; 4] = [0, 4_194_304, 1 << 26, 1 << 40];
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for num_l1 in [1, 4] {
+            for prefetch_next_line in [false, true] {
+                let cfg = TextureHierarchyConfig {
+                    num_l1,
+                    prefetch_next_line,
+                    ..TextureHierarchyConfig::default()
+                };
+                let stream: Vec<(usize, u64)> = (0..20_000)
+                    .map(|_| {
+                        let r = next();
+                        let base = CLUSTERS[(r % 4) as usize];
+                        ((r >> 8) as usize % num_l1, base + (r >> 16) % 10_000)
+                    })
+                    .collect();
+
+                // Oracle: every accessed line, plus the next line of
+                // each L1 miss when prefetching (skipped only when
+                // already resident, i.e. already requested).
+                let mut serial = TextureHierarchy::new(cfg);
+                let mut oracle = BTreeSet::new();
+                for &(sc, line) in &stream {
+                    oracle.insert(line);
+                    if !serial.access(sc, line).l1_hit && prefetch_next_line {
+                        oracle.insert(line + 1);
+                    }
+                }
+                let what = format!("{num_l1} lanes, prefetch {prefetch_next_line}");
+                assert_eq!(serial.distinct_lines(), oracle.len() as u64, "{what}");
+
+                let (cfg, mut lanes, mut shared) = TextureHierarchy::new(cfg).split();
+                for &(sc, line) in &stream {
+                    let mut sink = Vec::new();
+                    lanes[sc].access(line, &mut sink);
+                    shared.replay_demand(&sink);
+                }
+                let rejoined = TextureHierarchy::join(cfg, lanes, shared);
+                assert_eq!(serial.stats(), rejoined.stats(), "{what}");
+            }
+        }
     }
 
     #[test]

@@ -14,76 +14,65 @@
 //! the replay order is what makes parallel runs bit-identical to the
 //! serial reference: same L2 access sequence, same DRAM latencies,
 //! same statistics.
+//!
+//! Distinct lines (the compulsory-miss floor in
+//! [`HierarchyStats::distinct_lines`](crate::HierarchyStats::distinct_lines))
+//! are counted once, at the shared level: every line an L1 fills —
+//! demand miss or next-line prefetch — is a request [`SharedL2::replay`]
+//! sees, so one set there equals the union over all lanes, on the
+//! serial and the split path alike.
 
 use crate::cache::SetAssocCache;
 use crate::dram::DramModel;
 use crate::stats::MemCounters;
 use crate::LineAddr;
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
-/// Lines that would not fit the dense bitmap (1 bit per line up to
-/// this address) spill to a `BTreeSet`. Texture heaps are packed from
-/// address zero, so in practice everything is dense; the limit only
-/// guards against a pathological scene putting the bitmap allocation
-/// itself out of budget (2²⁶ lines = 4 GiB of texture = an 8 MiB map).
-const DENSE_LINE_LIMIT: LineAddr = 1 << 26;
+/// Lines per [`LineSet`] page: a 512-byte bitmap covering 256 KiB of
+/// texture.
+const PAGE_LINES: u64 = 1 << 12;
 
-/// A set of line addresses, tuned for the L1 miss path: inserts into a
-/// growable bitmap (one test-and-set) instead of a search tree. Only
-/// membership and cardinality are needed — [`TextureHierarchy::stats`]
-/// consumes it via [`len`](Self::len) and a cross-lane union count.
-///
-/// [`TextureHierarchy::stats`]: crate::TextureHierarchy::stats
+/// A set of line addresses kept as a bitmap in pages allocated on first
+/// touch, so its memory follows the lines actually touched, never their
+/// absolute address: a scene's 0.2–6.8 MiB texture heap needs 1–28
+/// pages (at most 16 KiB with the page vector's doubling), and nothing
+/// is allocated before the first insert. An insert on the page of the previous one is a test-and-set;
+/// moving to another page adds one lookup in a map of pages.
 #[derive(Debug, Default)]
 pub(crate) struct LineSet {
-    /// Bit `line` of the map ⇔ `line` is present (lines below
-    /// [`DENSE_LINE_LIMIT`] only).
-    bits: Vec<u64>,
-    dense_len: u64,
-    /// Lines at or above [`DENSE_LINE_LIMIT`].
-    sparse: BTreeSet<LineAddr>,
+    /// Page number (`line / PAGE_LINES`) → index into `pages`.
+    index: BTreeMap<u64, usize>,
+    pages: Vec<[u64; (PAGE_LINES / 64) as usize]>,
+    /// `(page number, index)` of the page the last insert touched.
+    last: Option<(u64, usize)>,
+    len: u64,
 }
 
 impl LineSet {
     #[inline]
     pub(crate) fn insert(&mut self, line: LineAddr) {
-        if line < DENSE_LINE_LIMIT {
-            let word = (line / 64) as usize;
-            if word >= self.bits.len() {
-                // Doubling growth keeps repeated inserts amortized O(1).
-                self.bits.resize((word + 1).max(self.bits.len() * 2), 0);
+        let page = line / PAGE_LINES;
+        let slot = match self.last {
+            Some((last, slot)) if last == page => slot,
+            _ => {
+                let fresh = self.pages.len();
+                let slot = *self.index.entry(page).or_insert(fresh);
+                if slot == fresh {
+                    self.pages.push([0; (PAGE_LINES / 64) as usize]);
+                }
+                self.last = Some((page, slot));
+                slot
             }
-            let mask = 1u64 << (line % 64);
-            if self.bits[word] & mask == 0 {
-                self.bits[word] |= mask;
-                self.dense_len += 1;
-            }
-        } else {
-            self.sparse.insert(line);
-        }
+        };
+        let bit = line % PAGE_LINES;
+        let word = &mut self.pages[slot][(bit / 64) as usize];
+        let mask = 1u64 << (bit % 64);
+        self.len += u64::from(*word & mask == 0);
+        *word |= mask;
     }
 
     pub(crate) fn len(&self) -> u64 {
-        self.dense_len + self.sparse.len() as u64
-    }
-
-    /// Cardinality of the union of `sets` (distinct lines across all
-    /// lanes).
-    pub(crate) fn union_len(sets: &[&Self]) -> u64 {
-        let words = sets.iter().map(|s| s.bits.len()).max().unwrap_or(0);
-        let mut dense = 0u64;
-        for w in 0..words {
-            let mut or = 0u64;
-            for s in sets {
-                or |= s.bits.get(w).copied().unwrap_or(0);
-            }
-            dense += u64::from(or.count_ones());
-        }
-        let mut sparse = BTreeSet::new();
-        for s in sets {
-            sparse.extend(s.sparse.iter().copied());
-        }
-        dense + sparse.len() as u64
+        self.len
     }
 }
 
@@ -103,7 +92,6 @@ pub struct L2Request {
 pub struct L1Lane {
     l1: SetAssocCache,
     prefetch_next_line: bool,
-    seen: LineSet,
 }
 
 impl L1Lane {
@@ -111,7 +99,6 @@ impl L1Lane {
         Self {
             l1,
             prefetch_next_line,
-            seen: LineSet::default(),
         }
     }
 
@@ -131,13 +118,8 @@ impl L1Lane {
     #[inline]
     pub fn access(&mut self, line: LineAddr, sink: &mut Vec<L2Request>) -> bool {
         if self.l1.access(line).hit {
-            // A hit means the line is resident, and every resident line
-            // was recorded in `seen` when it was filled (demand or
-            // prefetch below) — skipping the set insert here keeps the
-            // hot path cheap without changing the set.
             return true;
         }
-        self.seen.insert(line);
         sink.push(L2Request {
             line,
             prefetch: false,
@@ -145,7 +127,6 @@ impl L1Lane {
         if self.prefetch_next_line {
             let next = line + 1;
             if !self.l1.probe(next) {
-                self.seen.insert(next);
                 self.l1.access(next);
                 sink.push(L2Request {
                     line: next,
@@ -169,10 +150,6 @@ impl L1Lane {
     pub(crate) fn l1_mut(&mut self) -> &mut SetAssocCache {
         &mut self.l1
     }
-
-    pub(crate) fn seen(&self) -> &LineSet {
-        &self.seen
-    }
 }
 
 /// Outcome of replaying one [`L2Request`] into the shared levels.
@@ -192,16 +169,23 @@ pub struct ReplayOutcome {
 pub struct SharedL2 {
     l2: SetAssocCache,
     dram: DramModel,
+    /// Every line ever requested: the distinct-line count.
+    seen: LineSet,
 }
 
 impl SharedL2 {
     pub(crate) fn new(l2: SetAssocCache, dram: DramModel) -> Self {
-        Self { l2, dram }
+        Self {
+            l2,
+            dram,
+            seen: LineSet::default(),
+        }
     }
 
     /// Replay one request: an L2 lookup, plus a DRAM fill on a miss.
     #[inline]
     pub fn replay(&mut self, req: L2Request) -> ReplayOutcome {
+        self.seen.insert(req.line);
         let l2_latency = self.l2.config().latency;
         if self.l2.access(req.line).hit {
             ReplayOutcome {
@@ -255,6 +239,10 @@ impl SharedL2 {
 
     pub(crate) fn dram(&self) -> &DramModel {
         &self.dram
+    }
+
+    pub(crate) fn distinct_lines(&self) -> u64 {
+        self.seen.len()
     }
 }
 

@@ -93,7 +93,8 @@ pub struct HierarchyStats {
     pub l2: CacheStats,
     /// Number of DRAM fills (L2 misses).
     pub dram_accesses: u64,
-    /// Distinct lines ever requested (compulsory-miss floor).
+    /// Distinct lines ever requested from the shared L2, demand and
+    /// prefetch (the compulsory-miss floor).
     pub distinct_lines: u64,
 }
 

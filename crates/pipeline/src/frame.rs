@@ -845,6 +845,37 @@ mod tests {
     }
 
     #[test]
+    fn distinct_lines_equal_the_footprint_arenas_distinct_lines() {
+        // Without prefetch the L2 only ever sees footprint lines, and
+        // every footprint line is a compulsory miss in some lane, so
+        // the count is fixed by the prefix alone — however it is
+        // tracked, on any schedule, thread count or L1 arrangement.
+        let scene = Game::CandyCrush.scene(&SceneSpec::new(100, 50, 0));
+        for upper_bound in [false, true] {
+            let build = PipelineConfig {
+                upper_bound,
+                ..PipelineConfig::default()
+            };
+            assert!(!build.hierarchy.prefetch_next_line);
+            let prefix = FramePrefix::build(&scene, &build, 100, 50).unwrap();
+            let footprint: std::collections::BTreeSet<_> = prefix.lines.iter().collect();
+            assert!(footprint.len() > 100, "frame must touch texture");
+            for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
+                for threads in [1, 4] {
+                    let config = PipelineConfig { threads, ..build };
+                    let r = FrameSim::try_run_prefixed(&prefix, &schedule, &config).unwrap();
+                    assert_eq!(
+                        r.hierarchy.distinct_lines,
+                        footprint.len() as u64,
+                        "upper_bound {upper_bound}, {}, threads {threads}",
+                        schedule.label()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn ragged_edge_resolutions_work() {
         // Resolutions that are not multiples of the tile size exercise
         // partial tiles on the right/bottom edges.

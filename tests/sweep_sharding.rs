@@ -10,7 +10,7 @@ use dtexl::sweep::{
     RetryPolicy, Shard, SweepJob, SweepOptions,
 };
 use dtexl_scene::Game;
-use dtexl_sched::ScheduleConfig;
+use dtexl_sched::{NamedMapping, ScheduleConfig};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
@@ -235,4 +235,71 @@ fn shard_assignment_is_stable_under_job_list_append() {
         "exactly the shard's own keys are journaled"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn job_keys_and_their_shards_are_golden() {
+    // Every `dtexl list` preset × {base, upper}, cycling games and
+    // sizes (u32::MAX included). The key feeds `shard_of`, journal
+    // resume, `config_hash` and canon, so its bytes must never move.
+    const GOLDEN: [(&str, u32); 20] = [
+        ("CCS|FG-xshift2/Z-order/const|base|1960x768#0", 6),
+        ("SoD|FG-xshift2/Z-order/const|upper|128x64#37", 5),
+        (
+            "TRu|CG-square/Hilbert/flp2|base|4294967295x4294967295#4294967295",
+            2,
+        ),
+        ("SWa|CG-square/Hilbert/flp2|upper|1960x768#0", 0),
+        ("CRa|CG-square/Z-order/const|base|128x64#37", 0),
+        (
+            "RoK|CG-square/Z-order/const|upper|4294967295x4294967295#4294967295",
+            5,
+        ),
+        ("DDS|CG-square/Z-order/flp1|base|1960x768#0", 0),
+        ("Snp|CG-square/Z-order/flp1|upper|128x64#37", 1),
+        (
+            "Mze|CG-square/Hilbert/const|base|4294967295x4294967295#4294967295",
+            5,
+        ),
+        ("GTr|CG-square/Hilbert/const|upper|1960x768#0", 1),
+        ("CCS|CG-square/Hilbert/flp1|base|128x64#37", 0),
+        (
+            "SoD|CG-square/Hilbert/flp1|upper|4294967295x4294967295#4294967295",
+            2,
+        ),
+        ("TRu|CG-square/Hilbert/flp2|base|1960x768#0", 6),
+        ("SWa|CG-square/Hilbert/flp2|upper|128x64#37", 2),
+        (
+            "CRa|CG-square/Hilbert/flp3|base|4294967295x4294967295#4294967295",
+            6,
+        ),
+        ("RoK|CG-square/Hilbert/flp3|upper|1960x768#0", 0),
+        ("DDS|CG-yrect/S-order/const|base|128x64#37", 6),
+        (
+            "Snp|CG-yrect/S-order/const|upper|4294967295x4294967295#4294967295",
+            4,
+        ),
+        ("Mze|CG-yrect/S-order/flp1|base|1960x768#0", 6),
+        ("GTr|CG-yrect/S-order/flp1|upper|128x64#37", 5),
+    ];
+    let mut presets = vec![ScheduleConfig::baseline(), ScheduleConfig::dtexl()];
+    presets.extend(NamedMapping::FIG16.iter().map(|m| m.config()));
+    let sizes = [
+        (1960, 768, 0),
+        (128, 64, 37),
+        (u32::MAX, u32::MAX, u32::MAX),
+    ];
+    let mut got = Vec::new();
+    for schedule in presets {
+        for upper in [false, true] {
+            let i = got.len();
+            let (w, h, frame) = sizes[i % sizes.len()];
+            let game = Game::ALL[i % Game::ALL.len()];
+            let key = SweepJob::new(game, schedule, upper, w, h, frame).key();
+            let shard = shard_of(&key, 7);
+            got.push((key, shard));
+        }
+    }
+    let want: Vec<(String, u32)> = GOLDEN.iter().map(|&(k, s)| (k.to_string(), s)).collect();
+    assert_eq!(got, want);
 }
