@@ -171,22 +171,20 @@ pub(crate) fn field_bool(line: &str, field: &str) -> Option<bool> {
     }
 }
 
-/// Materialize a spec list into a job list, dropping jobs whose key a
-/// previous spec already produced (two batches may both carry a job;
-/// the first occurrence wins — both would simulate identically
-/// anyway, the dedup just keeps the canonical job list and queue
-/// depth honest).
+/// Materialize a spec list into a job list, dropping jobs a previous
+/// spec already produced (two batches may both carry a job; the first
+/// occurrence wins — both would simulate identically anyway, the dedup
+/// just keeps the canonical job list and queue depth honest). Specs
+/// are compared on the fields a job is made of, which are equal
+/// exactly when the jobs' keys are.
 #[must_use]
 pub fn jobs_from_specs(specs: &[JobSpec], pipeline_base: &PipelineConfig) -> Vec<SweepJob> {
     let mut seen = BTreeSet::new();
-    let mut jobs = Vec::with_capacity(specs.len());
-    for spec in specs {
-        let job = spec.to_job(pipeline_base);
-        if seen.insert(job.key()) {
-            jobs.push(job);
-        }
-    }
-    jobs
+    specs
+        .iter()
+        .filter(|s| seen.insert((s.game, s.schedule, s.width, s.height, s.frame, s.upper)))
+        .map(|s| s.to_job(pipeline_base))
+        .collect()
 }
 
 /// Write `contents` to `path` atomically: write a `.tmp-<pid>`
@@ -717,6 +715,39 @@ mod tests {
         ];
         let jobs = jobs_from_specs(&specs, &PipelineConfig::default());
         assert_eq!(jobs.len(), 2, "the repeated CCS job collapses");
+    }
+
+    #[test]
+    fn jobs_from_specs_matches_key_dedup_on_every_preset() {
+        // Every `dtexl list` preset (`dtexl` and `HLB-flp2` name the
+        // same schedule) × {base, upper} over two games and sizes,
+        // then every spec again in reverse order.
+        let mut names = vec!["baseline", "dtexl"];
+        names.extend(dtexl_sched::NamedMapping::FIG16.iter().map(|m| m.name()));
+        let mut specs = Vec::new();
+        for name in names {
+            for upper in [false, true] {
+                for (game, w, frame) in [("CCS", 96, 0), ("GTr", 128, 3)] {
+                    specs.push(JobSpec::new(game, name, w, 64, frame, upper).unwrap());
+                }
+            }
+        }
+        let repeated: Vec<JobSpec> = specs.iter().chain(specs.iter().rev()).cloned().collect();
+        let base = PipelineConfig::default();
+        let all: Vec<SweepJob> = repeated.iter().map(|s| s.to_job(&base)).collect();
+        let mut keys = BTreeSet::new();
+        let by_key: Vec<SweepJob> = all
+            .iter()
+            .filter(|j| keys.insert(j.key()))
+            .copied()
+            .collect();
+        assert_eq!(by_key.len(), 36, "nine distinct presets × 2 × 2");
+        assert_eq!(jobs_from_specs(&repeated, &base), by_key);
+        for a in &all {
+            for b in &all {
+                assert_eq!(a.key() == b.key(), a == b, "{} vs {}", a.key(), b.key());
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,13 @@
 //! Set-associative cache model.
+//!
+//! [`SetAssocCache::access`] matches on the replacement policy once and
+//! runs one lookup body compiled for it, so the policy hooks inline. The
+//! body compares every way of the set (no early exit: a line is in at
+//! most one way); on a miss the policy picks the way to fill, invalid
+//! ways included. [`SetAssocCache::flush`] also rebuilds the policy.
 
-use crate::replacement::{Lru, ReplacementPolicy};
+use crate::hierarchy::ReplacementKind;
+use crate::replacement::{Fifo, Lru, PseudoRandom, ReplacementPolicy};
 use crate::stats::CacheStats;
 use crate::{LineAddr, LINE_BYTES};
 use serde::{Deserialize, Serialize};
@@ -112,39 +119,21 @@ pub struct AccessOutcome {
     pub evicted: Option<LineAddr>,
 }
 
-/// Statically-dispatched replacement selector.
-///
-/// Every cache access calls [`ReplacementPolicy::on_access`]; going
-/// through a `Box<dyn …>` put a virtual call on the hottest loop of
-/// the simulator. The stock policies are a closed set, so they are
-/// dispatched by `match` (which inlines); arbitrary external policies
-/// still work through the boxed [`Custom`](PolicyImpl::Custom) arm.
+/// The cache's replacement policy, one variant per stock policy.
 #[derive(Debug)]
-pub(crate) enum PolicyImpl {
+enum PolicyImpl {
     Lru(Lru),
-    Fifo(crate::replacement::Fifo),
-    Random(crate::replacement::PseudoRandom),
-    Custom(Box<dyn ReplacementPolicy + Send>),
+    Fifo(Fifo),
+    Random(PseudoRandom),
 }
 
 impl PolicyImpl {
-    #[inline]
-    fn on_access(&mut self, set: usize, way: usize, tick: u64) {
-        match self {
-            Self::Lru(p) => p.on_access(set, way, tick),
-            Self::Fifo(p) => p.on_access(set, way, tick),
-            Self::Random(p) => p.on_access(set, way, tick),
-            Self::Custom(p) => p.on_access(set, way, tick),
-        }
-    }
-
-    #[inline]
-    fn victim(&mut self, set: usize, tick: u64) -> usize {
-        match self {
-            Self::Lru(p) => p.victim(set, tick),
-            Self::Fifo(p) => p.victim(set, tick),
-            Self::Random(p) => p.victim(set, tick),
-            Self::Custom(p) => p.victim(set, tick),
+    fn new(kind: ReplacementKind, config: &CacheConfig) -> Self {
+        let sets = config.sets();
+        match kind {
+            ReplacementKind::Lru => Self::Lru(Lru::new(sets, config.ways)),
+            ReplacementKind::Fifo => Self::Fifo(Fifo::new(sets, config.ways)),
+            ReplacementKind::Random => Self::Random(PseudoRandom::new(config.ways, 0x5eed)),
         }
     }
 }
@@ -152,9 +141,77 @@ impl PolicyImpl {
 /// Tag value marking an invalid (never filled) way. No real line can
 /// take this value: line addresses are byte addresses divided by the
 /// 64-byte line size, so they are bounded well below `u64::MAX`.
-const INVALID_TAG: LineAddr = LineAddr::MAX;
+pub(crate) const INVALID_TAG: LineAddr = LineAddr::MAX;
 
-/// A set-associative cache with pluggable replacement.
+/// The policy-independent state of a cache: geometry, tags, the
+/// logical clock and the statistics.
+#[derive(Debug)]
+struct TagArray {
+    ways: usize,
+    sets: usize,
+    /// `sets - 1` when the set count is a power of two: `line % sets`
+    /// is then a mask instead of a per-access 64-bit division (every
+    /// standard geometry is power-of-two; the modulo fallback keeps
+    /// arbitrary configs working, bit-identically).
+    set_mask: Option<u64>,
+    /// `tags[set * ways + way]`; [`INVALID_TAG`] = invalid. A bare
+    /// sentinel keeps the hit scan to one 8-byte compare per way
+    /// (an `Option<LineAddr>` doubles the tag array and the compare).
+    tags: Vec<LineAddr>,
+    tick: u64,
+    stats: CacheStats,
+}
+
+impl TagArray {
+    #[inline]
+    fn set_of(&self, line: LineAddr) -> usize {
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets as u64) as usize,
+        }
+    }
+
+    /// The tags of `line`'s set.
+    #[inline]
+    fn set_tags(&self, line: LineAddr) -> &[LineAddr] {
+        &self.tags[self.set_of(line) * self.ways..][..self.ways]
+    }
+
+    /// One lookup under `policy`, filling `line` on a miss.
+    #[inline]
+    fn access<P: ReplacementPolicy>(&mut self, policy: &mut P, line: LineAddr) -> AccessOutcome {
+        self.tick += 1;
+        self.stats.accesses += 1;
+        let set = self.set_of(line);
+        let tags = &mut self.tags[set * self.ways..][..self.ways];
+        // A line is resident in at most one way, so every way can be
+        // compared without an early exit.
+        let mut hit_way = usize::MAX;
+        for (way, &tag) in tags.iter().enumerate() {
+            hit_way = std::hint::select_unpredictable(tag == line, way, hit_way);
+        }
+        if hit_way != usize::MAX {
+            policy.on_hit(set, hit_way, self.tick);
+            self.stats.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
+        }
+        self.stats.misses += 1;
+        let way = policy.fill(set, tags, self.tick);
+        debug_assert!(way < self.ways);
+        let old = std::mem::replace(&mut tags[way], line);
+        let evicted = (old != INVALID_TAG).then_some(old);
+        self.stats.evictions += u64::from(evicted.is_some());
+        AccessOutcome {
+            hit: false,
+            evicted,
+        }
+    }
+}
+
+/// A set-associative cache with LRU, FIFO or pseudo-random replacement.
 ///
 /// The model is *functional plus latency*: it tracks residency and
 /// statistics; timing (latency stacking, MSHR contention) is handled by
@@ -173,19 +230,9 @@ const INVALID_TAG: LineAddr = LineAddr::MAX;
 #[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: usize,
-    /// `sets - 1` when the set count is a power of two: `line % sets`
-    /// is then a mask instead of a per-access 64-bit division (every
-    /// standard geometry is power-of-two; the modulo fallback keeps
-    /// arbitrary configs working, bit-identically).
-    set_mask: Option<u64>,
-    /// `tags[set * ways + way]`; [`INVALID_TAG`] = invalid. A bare
-    /// sentinel keeps the hit scan to one 8-byte compare per way
-    /// (an `Option<LineAddr>` doubles the tag array and the compare).
-    tags: Vec<LineAddr>,
+    kind: ReplacementKind,
+    array: TagArray,
     policy: PolicyImpl,
-    tick: u64,
-    stats: CacheStats,
 }
 
 impl SetAssocCache {
@@ -196,30 +243,24 @@ impl SetAssocCache {
     /// Panics if `config` is degenerate (see [`CacheConfig::sets`]).
     #[must_use]
     pub fn new(config: CacheConfig) -> Self {
-        let sets = config.sets();
-        Self::with_policy_impl(config, PolicyImpl::Lru(Lru::new(sets, config.ways)))
+        Self::with_replacement(config, ReplacementKind::Lru)
     }
 
-    /// Create a cache with a custom replacement policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config` is degenerate (see [`CacheConfig::sets`]).
-    #[must_use]
-    pub fn with_policy(config: CacheConfig, policy: Box<dyn ReplacementPolicy + Send>) -> Self {
-        Self::with_policy_impl(config, PolicyImpl::Custom(policy))
-    }
-
-    pub(crate) fn with_policy_impl(config: CacheConfig, policy: PolicyImpl) -> Self {
+    /// Create a cache with the `kind` replacement policy.
+    pub(crate) fn with_replacement(config: CacheConfig, kind: ReplacementKind) -> Self {
         let sets = config.sets();
         Self {
             config,
-            sets,
-            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-            tags: vec![INVALID_TAG; sets * config.ways],
-            policy,
-            tick: 0,
-            stats: CacheStats::default(),
+            kind,
+            array: TagArray {
+                ways: config.ways,
+                sets,
+                set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+                tags: vec![INVALID_TAG; sets * config.ways],
+                tick: 0,
+                stats: CacheStats::default(),
+            },
+            policy: PolicyImpl::new(kind, &config),
         }
     }
 
@@ -232,15 +273,7 @@ impl SetAssocCache {
     /// Accumulated statistics.
     #[must_use]
     pub fn stats(&self) -> &CacheStats {
-        &self.stats
-    }
-
-    #[inline]
-    fn set_of(&self, line: LineAddr) -> usize {
-        match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.sets as u64) as usize,
-        }
+        &self.array.stats
     }
 
     /// Look up `line`, filling it on a miss. Returns hit/miss and any
@@ -251,46 +284,10 @@ impl SetAssocCache {
             line != INVALID_TAG,
             "line address is the invalid-tag sentinel"
         );
-        self.tick += 1;
-        self.stats.accesses += 1;
-        let set = self.set_of(line);
-        let base = set * self.config.ways;
-
-        // Hit?
-        for way in 0..self.config.ways {
-            if self.tags[base + way] == line {
-                self.policy.on_access(set, way, self.tick);
-                self.stats.hits += 1;
-                return AccessOutcome {
-                    hit: true,
-                    evicted: None,
-                };
-            }
-        }
-
-        // Miss: fill an invalid way if there is one.
-        self.stats.misses += 1;
-        for way in 0..self.config.ways {
-            if self.tags[base + way] == INVALID_TAG {
-                self.tags[base + way] = line;
-                self.policy.on_access(set, way, self.tick);
-                return AccessOutcome {
-                    hit: false,
-                    evicted: None,
-                };
-            }
-        }
-
-        // Evict.
-        let way = self.policy.victim(set, self.tick);
-        debug_assert!(way < self.config.ways);
-        let evicted = Some(self.tags[base + way]).filter(|&t| t != INVALID_TAG);
-        self.tags[base + way] = line;
-        self.policy.on_access(set, way, self.tick);
-        self.stats.evictions += 1;
-        AccessOutcome {
-            hit: false,
-            evicted,
+        match &mut self.policy {
+            PolicyImpl::Lru(p) => self.array.access(p, line),
+            PolicyImpl::Fifo(p) => self.array.access(p, line),
+            PolicyImpl::Random(p) => self.array.access(p, line),
         }
     }
 
@@ -298,28 +295,30 @@ impl SetAssocCache {
     #[must_use]
     #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {
-        let set = self.set_of(line);
-        let base = set * self.config.ways;
-        (0..self.config.ways).any(|w| self.tags[base + w] == line)
+        self.array.set_tags(line).contains(&line)
     }
 
-    /// Invalidate all contents, keeping statistics.
+    /// Invalidate all contents and start the replacement policy afresh,
+    /// keeping statistics.
     pub fn flush(&mut self) {
-        self.tags.fill(INVALID_TAG);
+        self.array.tags.fill(INVALID_TAG);
+        self.policy = PolicyImpl::new(self.kind, &self.config);
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        self.array
+            .tags
+            .iter()
+            .filter(|&&t| t != INVALID_TAG)
+            .count()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    use crate::replacement::Fifo;
 
     fn tiny() -> CacheConfig {
         // 2 sets × 2 ways × 64 B = 256 B
@@ -405,9 +404,9 @@ mod tests {
     }
 
     #[test]
-    fn custom_policy_is_used() {
+    fn fifo_policy_is_used() {
         let cfg = tiny();
-        let mut c = SetAssocCache::with_policy(cfg, Box::new(Fifo::new(cfg.sets(), cfg.ways)));
+        let mut c = SetAssocCache::with_replacement(cfg, ReplacementKind::Fifo);
         c.access(0);
         c.access(2);
         c.access(0); // FIFO ignores the re-hit
@@ -450,6 +449,164 @@ mod tests {
         }
         for l in 0..lines {
             assert!(c.access(l).hit, "line {l} should be resident");
+        }
+    }
+
+    /// The lookup as it was before the policy picked the fill way,
+    /// kept as a reference: a hit scan with an early exit, else the
+    /// first invalid way, else the policy's victim; every hit or fill
+    /// touches the policy. Its `flush` keeps LRU's stamps, as the old
+    /// one did. It resets FIFO's fill times and the random stream, which
+    /// the old one kept: a FIFO way refilled after a flush used to be
+    /// ordered by its pre-flush fill.
+    struct Reference {
+        sets: u64,
+        ways: usize,
+        kind: ReplacementKind,
+        tags: Vec<LineAddr>,
+        /// LRU: last touch; FIFO: fill tick, `u64::MAX` = unset.
+        stamps: Vec<u64>,
+        rng: u64,
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl Reference {
+        fn new(config: CacheConfig, kind: ReplacementKind) -> Self {
+            let lines = config.sets() * config.ways;
+            Self {
+                sets: config.sets() as u64,
+                ways: config.ways,
+                kind,
+                tags: vec![INVALID_TAG; lines],
+                stamps: vec![
+                    if kind == ReplacementKind::Fifo {
+                        u64::MAX
+                    } else {
+                        0
+                    };
+                    lines
+                ],
+                rng: 0x5eed | 1,
+                tick: 0,
+                stats: CacheStats::default(),
+            }
+        }
+
+        fn touch(&mut self, slot: usize) {
+            match self.kind {
+                ReplacementKind::Lru => self.stamps[slot] = self.tick,
+                ReplacementKind::Fifo if self.stamps[slot] == u64::MAX => {
+                    self.stamps[slot] = self.tick;
+                }
+                _ => {}
+            }
+        }
+
+        fn victim(&mut self, set: usize) -> usize {
+            let base = set * self.ways;
+            if self.kind == ReplacementKind::Random {
+                let mut x = self.rng ^ (set as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ self.tick;
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                self.rng = x;
+                return (x % self.ways as u64) as usize;
+            }
+            let mut best = 0;
+            for w in 1..self.ways {
+                if self.stamps[base + w] < self.stamps[base + best] {
+                    best = w;
+                }
+            }
+            if self.kind == ReplacementKind::Fifo {
+                self.stamps[base + best] = u64::MAX;
+            }
+            best
+        }
+
+        fn access(&mut self, line: LineAddr) -> AccessOutcome {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let set = (line % self.sets) as usize;
+            let base = set * self.ways;
+            if let Some(way) = (0..self.ways).find(|&w| self.tags[base + w] == line) {
+                self.touch(base + way);
+                self.stats.hits += 1;
+                return AccessOutcome {
+                    hit: true,
+                    evicted: None,
+                };
+            }
+            self.stats.misses += 1;
+            if let Some(way) = (0..self.ways).find(|&w| self.tags[base + w] == INVALID_TAG) {
+                self.tags[base + way] = line;
+                self.touch(base + way);
+                return AccessOutcome {
+                    hit: false,
+                    evicted: None,
+                };
+            }
+            let way = self.victim(set);
+            let evicted = Some(self.tags[base + way]);
+            self.tags[base + way] = line;
+            self.touch(base + way);
+            self.stats.evictions += 1;
+            AccessOutcome {
+                hit: false,
+                evicted,
+            }
+        }
+
+        fn flush(&mut self) {
+            self.tags.fill(INVALID_TAG);
+            if self.kind == ReplacementKind::Fifo {
+                self.stamps.fill(u64::MAX);
+            }
+            self.rng = 0x5eed | 1;
+        }
+    }
+
+    #[test]
+    fn access_matches_the_reference_lookup() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for kind in [
+            ReplacementKind::Lru,
+            ReplacementKind::Fifo,
+            ReplacementKind::Random,
+        ] {
+            for sets in [1, 3, 4, 6, 16] {
+                for ways in [1, 2, 4, 8, 16] {
+                    let config = CacheConfig {
+                        size_bytes: (sets * ways * 64) as u64,
+                        line_bytes: 64,
+                        ways,
+                        latency: 1,
+                    };
+                    let mut cache = SetAssocCache::with_replacement(config, kind);
+                    let mut reference = Reference::new(config, kind);
+                    // A working set of about twice the capacity: hits,
+                    // invalid fills and evictions all occur, and the
+                    // flush halfway makes every way invalid again.
+                    let span = 2 * (sets * ways) as u64 + 1;
+                    for i in 0..4000 {
+                        if i == 2000 {
+                            cache.flush();
+                            reference.flush();
+                        }
+                        let line = next() % span;
+                        let what = format!("{kind:?} {sets}x{ways}, access {i}, line {line}");
+                        assert_eq!(cache.access(line), reference.access(line), "{what}");
+                    }
+                    assert_eq!(*cache.stats(), reference.stats, "{kind:?} {sets}x{ways}");
+                }
+            }
         }
     }
 }

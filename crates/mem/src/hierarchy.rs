@@ -1,9 +1,8 @@
 //! The private-L1s → shared-L2 → DRAM texture hierarchy.
 
-use crate::cache::{CacheConfig, PolicyImpl, SetAssocCache};
+use crate::cache::{CacheConfig, SetAssocCache};
 use crate::dram::{DramConfig, DramModel};
 use crate::lane::{L1Lane, L2Request, SharedL2};
-use crate::replacement::{Fifo, Lru, PseudoRandom};
 use crate::stats::HierarchyStats;
 use crate::LineAddr;
 use serde::{Deserialize, Serialize};
@@ -21,20 +20,6 @@ pub enum ReplacementKind {
     Fifo,
     /// Deterministic pseudo-random.
     Random,
-}
-
-impl ReplacementKind {
-    /// Build the policy as a statically-dispatched [`PolicyImpl`]: the
-    /// selector is a closed enum, so the per-access policy hook avoids
-    /// a virtual call on the simulator's hottest path.
-    fn build(self, config: &CacheConfig) -> PolicyImpl {
-        let sets = config.sets();
-        match self {
-            ReplacementKind::Lru => PolicyImpl::Lru(Lru::new(sets, config.ways)),
-            ReplacementKind::Fifo => PolicyImpl::Fifo(Fifo::new(sets, config.ways)),
-            ReplacementKind::Random => PolicyImpl::Random(PseudoRandom::new(config.ways, 0x5eed)),
-        }
-    }
 }
 
 /// Configuration of the texture memory hierarchy.
@@ -118,9 +103,6 @@ pub struct TextureHierarchy {
     config: TextureHierarchyConfig,
     lanes: Vec<L1Lane>,
     shared: SharedL2,
-    /// Scratch buffer for the trace-and-replay performed inside
-    /// [`access`](Self::access), kept to avoid per-access allocation.
-    sink: Vec<L2Request>,
 }
 
 impl TextureHierarchy {
@@ -138,19 +120,15 @@ impl TextureHierarchy {
             lanes: (0..config.num_l1)
                 .map(|_| {
                     L1Lane::new(
-                        SetAssocCache::with_policy_impl(
-                            config.l1,
-                            config.replacement.build(&config.l1),
-                        ),
+                        SetAssocCache::with_replacement(config.l1, config.replacement),
                         config.prefetch_next_line,
                     )
                 })
                 .collect(),
             shared: SharedL2::new(
-                SetAssocCache::with_policy_impl(config.l2, config.replacement.build(&config.l2)),
+                SetAssocCache::with_replacement(config.l2, config.replacement),
                 DramModel::new(config.dram),
             ),
-            sink: Vec::with_capacity(2),
         }
     }
 
@@ -162,9 +140,10 @@ impl TextureHierarchy {
 
     /// Access `line` from shader core `sc`.
     ///
-    /// Internally this traces the lane's L1 and immediately replays the
-    /// emitted requests into the shared L2 — the same decomposition the
-    /// parallel frame simulator uses, here degenerated to a replay
+    /// The lane's L1 is accessed first (the demand line, then any
+    /// next-line prefetch fill), then the shared L2 sees the demand
+    /// request, then the prefetch — the order the parallel frame
+    /// simulator's trace-and-replay issues them in, here with a replay
     /// window of one access.
     ///
     /// # Panics
@@ -172,27 +151,19 @@ impl TextureHierarchy {
     /// Panics if `sc >= num_l1`.
     #[inline]
     pub fn access(&mut self, sc: usize, line: LineAddr) -> AccessResult {
-        self.sink.clear();
-        let l1_latency = self.lanes[sc].l1_latency();
-        if self.lanes[sc].access(line, &mut self.sink) {
+        let lane = &mut self.lanes[sc];
+        let l1_latency = lane.l1_latency();
+        let [Some(demand), prefetch] = lane.requests(line) else {
             return AccessResult {
                 l1_hit: true,
                 l2_hit: false,
                 latency: l1_latency,
             };
+        };
+        let out = self.shared.replay(demand);
+        if let Some(prefetch) = prefetch {
+            self.shared.replay(prefetch);
         }
-        // The demand request precedes the optional prefetch, matching
-        // the order a monolithic hierarchy would touch the L2 in.
-        let mut demand = None;
-        for i in 0..self.sink.len() {
-            let req = self.sink[i];
-            let out = self.shared.replay(req);
-            if !req.prefetch {
-                demand = Some(out);
-            }
-        }
-        // lint: allow(no-panic) -- L1Lane::access pushes the demand request before any prefetch on every miss
-        let out = demand.expect("an L1 miss always emits a demand request");
         AccessResult {
             l1_hit: false,
             l2_hit: out.l2_hit,
@@ -238,7 +209,6 @@ impl TextureHierarchy {
             config,
             lanes,
             shared,
-            sink: Vec::with_capacity(2),
         }
     }
 

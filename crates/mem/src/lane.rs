@@ -117,24 +117,32 @@ impl L1Lane {
     /// made without consulting the L2.
     #[inline]
     pub fn access(&mut self, line: LineAddr, sink: &mut Vec<L2Request>) -> bool {
+        let requests = self.requests(line);
+        sink.extend(requests.into_iter().flatten());
+        requests[0].is_none()
+    }
+
+    /// Access `line` and return the shared-L2 requests that emits: none
+    /// on an L1 hit; on a miss the demand request, then a next-line
+    /// prefetch if the L1 prefetched.
+    #[inline]
+    pub(crate) fn requests(&mut self, line: LineAddr) -> [Option<L2Request>; 2] {
         if self.l1.access(line).hit {
-            return true;
+            return [None, None];
         }
-        sink.push(L2Request {
+        let next = line + 1;
+        let prefetch = (self.prefetch_next_line && !self.l1.probe(next)).then(|| {
+            self.l1.access(next);
+            L2Request {
+                line: next,
+                prefetch: true,
+            }
+        });
+        let demand = L2Request {
             line,
             prefetch: false,
-        });
-        if self.prefetch_next_line {
-            let next = line + 1;
-            if !self.l1.probe(next) {
-                self.l1.access(next);
-                sink.push(L2Request {
-                    line: next,
-                    prefetch: true,
-                });
-            }
-        }
-        false
+        };
+        [Some(demand), prefetch]
     }
 
     /// Whether `line` is currently resident (no state change).

@@ -129,6 +129,69 @@ impl SubtileTrace {
     }
 }
 
+/// The warp slots and issue port of one subtile batch — the warp model
+/// both fragment paths ([`ShaderCore::time_subtile`] and
+/// [`ShaderCore::run_subtile_fused`]) share.
+struct Warps {
+    /// Cycle at which each warp slot frees up.
+    slot_free: Vec<u64>,
+    /// Cycle at which the issue port frees up.
+    port: u64,
+}
+
+impl Warps {
+    fn new(slots: usize) -> Self {
+        Self {
+            slot_free: vec![0; slots],
+            port: 0,
+        }
+    }
+
+    /// Dispatch a warp on the earliest-free slot (the first one on a
+    /// tie). It holds the issue port for `occupancy` cycles — the issue
+    /// port serializes instruction issue across warps, and each L1 miss
+    /// occupies the fill port, a throughput cost multithreading cannot
+    /// hide — and its slot for `stall` cycles more.
+    #[inline]
+    fn dispatch(&mut self, occupancy: u64, stall: u64) {
+        // Which slot frees first is data-dependent, so the scan selects
+        // instead of branching.
+        let (mut slot, mut earliest) = (0, u64::MAX);
+        for (s, &free) in self.slot_free.iter().enumerate() {
+            slot = std::hint::select_unpredictable(free < earliest, s, slot);
+            earliest = earliest.min(free);
+        }
+        self.port = self.port.max(earliest) + occupancy;
+        self.slot_free[slot] = self.port + stall;
+    }
+
+    /// Drain the batch: record the busy and total cycles in `stats` and
+    /// return the total.
+    fn finish(self, stats: &mut ShaderCoreStats) -> u64 {
+        let drain = self.slot_free.iter().copied().max().unwrap_or(0);
+        stats.busy_cycles = self.port;
+        stats.total_cycles = self.port.max(drain);
+        stats.total_cycles
+    }
+}
+
+/// The memory stall of a warp whose line accesses took `latencies`
+/// cycles, in access order. The texture unit coalesces each sample's
+/// line fetches in parallel; successive samples of a warp are
+/// dependent. The lines are dealt round-robin over the `samples`
+/// sample instructions, and each sample waits for its slowest line.
+fn sample_stall(latencies: &[u32], samples: usize) -> u64 {
+    (0..samples.min(latencies.len()))
+        .map(|g| {
+            latencies[g..]
+                .iter()
+                .step_by(samples)
+                .max()
+                .map_or(0, |&l| u64::from(l))
+        })
+        .sum()
+}
+
 /// Warp-level shader-core model.
 ///
 /// Each quad is a warp occupying one of `warp_slots` scheduler slots.
@@ -275,68 +338,34 @@ impl ShaderCore {
         l1_latency: u32,
         demand_latencies: &[u32],
     ) -> (u64, ShaderCoreStats) {
-        let mut slot_free = vec![0u64; self.warp_slots];
-        let mut port = 0u64;
-        let mut group_latency: Vec<u32> = Vec::with_capacity(4);
-        let mut access = 0usize;
+        let mut warps = Warps::new(self.warp_slots);
+        let mut latencies: Vec<u32> = Vec::with_capacity(16);
+        let mut hits = trace.hits.iter();
         let mut miss_idx = 0usize;
-
         for quad in &trace.quads {
-            // The texture unit coalesces each sample's line fetches in
-            // parallel; successive samples of a warp are dependent.
-            // Round-robin the footprint over the sample instructions and
-            // charge each sample the slowest of its lines.
-            group_latency.clear();
-            group_latency.resize(quad.samples, 0);
+            latencies.clear();
             let mut misses = 0u64;
-            // Round-robin group index, kept as a wrapping counter: a
-            // `i % samples` here is a hardware divide per line access.
-            let mut g = 0usize;
-            for _ in 0..quad.accesses {
-                let latency = if trace.hits[access] {
-                    l1_latency
-                } else {
-                    misses += 1;
-                    let below = demand_latencies[miss_idx];
+            for &hit in hits.by_ref().take(quad.accesses) {
+                let mut latency = l1_latency;
+                if !hit {
+                    latency += demand_latencies[miss_idx];
                     miss_idx += 1;
-                    l1_latency + below
-                };
-                access += 1;
-                group_latency[g] = group_latency[g].max(latency);
-                g += 1;
-                if g == quad.samples {
-                    g = 0;
+                    misses += 1;
                 }
+                latencies.push(latency);
             }
-            let stall: u64 = group_latency.iter().map(|&l| u64::from(l)).sum();
-
-            // Dispatch the warp on the earliest-free slot; the issue
-            // port serializes instruction issue across warps, and each
-            // L1 miss occupies the fill port — a throughput cost that
-            // multithreading cannot hide.
-            let (slot, &free) = slot_free
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &t)| t)
-                // lint: allow(no-panic) -- ShaderCore::new asserts warp_slots > 0, so the iterator is non-empty
-                .expect("warp_slots > 0");
-            let occupancy = quad.issue + misses * u64::from(self.miss_fill_cycles);
-            let start = port.max(free);
-            port = start + occupancy;
-            slot_free[slot] = start + occupancy + stall;
+            warps.dispatch(
+                quad.issue + misses * u64::from(self.miss_fill_cycles),
+                sample_stall(&latencies, quad.samples),
+            );
         }
         debug_assert_eq!(
             miss_idx,
             demand_latencies.len(),
             "one replay latency per demand miss"
         );
-
-        let drain = slot_free.iter().copied().max().unwrap_or(0);
-        let cycles = port.max(drain);
         let mut stats = trace.stats;
-        stats.busy_cycles = port;
-        stats.total_cycles = cycles;
-        (cycles, stats)
+        (warps.finish(&mut stats), stats)
     }
 
     /// Fused serial form of [`trace_prepared`](Self::trace_prepared) →
@@ -358,53 +387,27 @@ impl ShaderCore {
     where
         I: IntoIterator<Item = PreparedQuad<'a>>,
     {
-        let mut slot_free = vec![0u64; self.warp_slots];
-        let mut port = 0u64;
-        let mut group_latency: Vec<u32> = Vec::with_capacity(4);
+        let mut warps = Warps::new(self.warp_slots);
+        let mut latencies: Vec<u32> = Vec::with_capacity(16);
         let mut stats = ShaderCoreStats::default();
-
         for quad in quads {
-            let samples = quad.tex_samples.max(1) as usize;
-            group_latency.clear();
-            group_latency.resize(samples, 0);
+            latencies.clear();
             let mut misses = 0u64;
-            // Same wrapping round-robin counter as `time_subtile`.
-            let mut g = 0usize;
             for &line in quad.lines {
                 let out = hierarchy.access(sc, line);
-                if !out.l1_hit {
-                    misses += 1;
-                }
-                group_latency[g] = group_latency[g].max(out.latency);
-                g += 1;
-                if g == samples {
-                    g = 0;
-                }
+                misses += u64::from(!out.l1_hit);
+                latencies.push(out.latency);
             }
-            let stall: u64 = group_latency.iter().map(|&l| u64::from(l)).sum();
-
-            let (slot, &free) = slot_free
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &t)| t)
-                // lint: allow(no-panic) -- ShaderCore::new asserts warp_slots > 0, so the iterator is non-empty
-                .expect("warp_slots > 0");
-            let occupancy = u64::from(quad.issue) + misses * u64::from(self.miss_fill_cycles);
-            let start = port.max(free);
-            port = start + occupancy;
-            slot_free[slot] = start + occupancy + stall;
-
+            warps.dispatch(
+                u64::from(quad.issue) + misses * u64::from(self.miss_fill_cycles),
+                sample_stall(&latencies, quad.tex_samples.max(1) as usize),
+            );
             stats.quads += 1;
             stats.alu_ops += u64::from(quad.alu_ops);
             stats.tex_instructions += u64::from(quad.tex_samples);
             stats.line_accesses += quad.lines.len() as u64;
         }
-
-        let drain = slot_free.iter().copied().max().unwrap_or(0);
-        let cycles = port.max(drain);
-        stats.busy_cycles = port;
-        stats.total_cycles = cycles;
-        (cycles, stats)
+        (warps.finish(&mut stats), stats)
     }
 }
 

@@ -37,7 +37,7 @@ pub struct GameInfo {
 }
 
 /// The ten benchmark games (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum Game {
     /// Candy Crush Saga — 2D puzzle, 2.4 MiB textures.
     CandyCrush,

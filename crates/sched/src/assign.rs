@@ -67,7 +67,7 @@ fn apply(map: [u8; 4], perm: [usize; 4]) -> [u8; 4] {
 }
 
 /// The subtile assignment policy of Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum AssignMode {
     /// `*-const`: slot *i* always goes to SC *i* (Fig. 8(a), (c), (g)).
     Const,

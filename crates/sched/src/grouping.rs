@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Coordinates below are quad coordinates inside the tile
 /// (`0..quads_w`, `0..quads_h`; 16×16 for a 32×32-pixel tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum QuadGrouping {
     /// Fig. 6(a): 2×2 checker — `(qx%2) + 2*(qy%2)`. No two adjacent
     /// (even diagonally adjacent) quads share a slot.

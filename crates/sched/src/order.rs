@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Tiles are independent, so any permutation is legal; the order decides
 /// how much edge-sharing locality consecutive tiles expose to the L1
 /// texture caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum TileOrder {
     /// Row-major, every row left→right.
     Scanline,

@@ -8,7 +8,7 @@ use serde::{Deserialize, Serialize};
 /// Complete description of a workload schedule: which quads form
 /// subtiles, in which order tiles are processed, and which shader core
 /// each subtile goes to.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct ScheduleConfig {
     /// Quad → subtile-slot mapping inside each tile.
     pub grouping: QuadGrouping,
