@@ -28,14 +28,10 @@
 //! Cross-thread flows are attributed conservatively: memory allocated
 //! on a tagged thread but freed elsewhere stays charged (the peak —
 //! the budget signal — is monotone anyway), and frees of memory that
-//! predates the tag clamp at zero instead of underflowing. Code that
-//! spawns helper threads on behalf of a metered job (the SC-lane pool
-//! under `PipelineConfig::threads > 1`) propagates the tag by reading
-//! [`current_meter`] before spawning and tagging each helper with the
-//! same meter, so `peak_alloc_bytes` covers lane-worker allocations
-//! too. Several threads charging one meter share a single `current`
-//! counter; the peak is therefore the *job's* high-water mark, not a
-//! per-thread one — exactly the budget semantics the sweep wants.
+//! predates the tag clamp at zero instead of underflowing. Several
+//! threads tagged with one meter share a single `current` counter; the
+//! peak is therefore the meter's high-water mark across all of them,
+//! not a per-thread one.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -162,35 +158,6 @@ pub fn meter_current_thread(meter: &Arc<AllocMeter>) -> MeterGuard {
         meter: owned,
         _not_send: PhantomData,
     }
-}
-
-/// The meter tagging the current thread, if any.
-///
-/// This is the handoff point for nested parallelism: a job thread's
-/// lane pool calls this before `thread::scope`, then tags every lane
-/// worker with the returned meter so their allocations charge the
-/// owning job. Returns a fresh strong reference; the TLS slot itself
-/// keeps borrowing through the guard that set it.
-#[must_use]
-pub fn current_meter() -> Option<Arc<AllocMeter>> {
-    METER
-        .try_with(|slot| {
-            let raw = slot.get();
-            if raw.is_null() {
-                return None;
-            }
-            // SAFETY: the slot is only ever non-null while a
-            // `MeterGuard` holding a strong reference to this meter is
-            // alive on this thread (the guard nulls the slot before
-            // releasing its reference), so `raw` points at a live
-            // `Arc`-managed meter and bumping its count is sound.
-            unsafe {
-                Arc::increment_strong_count(raw);
-                Some(Arc::from_raw(raw))
-            }
-        })
-        .ok()
-        .flatten()
 }
 
 #[inline]
@@ -376,49 +343,6 @@ mod tests {
         drop(inner);
         assert_eq!(Arc::strong_count(&first), 1);
         assert_eq!(Arc::strong_count(&second), 1);
-    }
-
-    #[test]
-    fn current_meter_hands_off_to_helper_threads() {
-        assert!(
-            current_meter().is_none(),
-            "untagged thread reports no meter"
-        );
-        let meter = AllocMeter::new();
-        let _guard = meter_current_thread(&meter);
-        let handed = current_meter().expect("tagged thread exposes its meter");
-        assert!(
-            Arc::ptr_eq(&meter, &handed),
-            "handoff returns the tagging meter itself"
-        );
-        // A helper thread tagged with the handed-off meter charges the
-        // owning job's counters — the lane-worker flow.
-        let worker = handed;
-        std::thread::spawn(move || {
-            let _tag = meter_current_thread(&worker);
-            let buf = vec![8u8; 3 << 20];
-            std::hint::black_box(&buf);
-        })
-        .join()
-        .unwrap();
-        assert!(
-            meter.total_bytes() >= 3 << 20,
-            "helper-thread allocations charge the job meter: {}",
-            meter.total_bytes()
-        );
-    }
-
-    #[test]
-    fn current_meter_reference_outlives_the_guard() {
-        let meter = AllocMeter::new();
-        let held = {
-            let _guard = meter_current_thread(&meter);
-            current_meter().unwrap()
-        };
-        // Guard dropped; the handed-off Arc must still be valid.
-        assert_eq!(held.peak_bytes(), meter.peak_bytes());
-        drop(held);
-        assert_eq!(Arc::strong_count(&meter), 1, "no leaked references");
     }
 
     #[test]

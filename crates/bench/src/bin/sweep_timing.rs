@@ -3,15 +3,10 @@
 //! Two modes:
 //!
 //! * **Default** — runs [`Lab::all_figures`] over [`Setup::quick`] with
-//!   the Lab's own job fan-out pinned to a single thread, so the only
-//!   parallelism left is the per-frame SC-lane simulation selected by
-//!   `DTEXL_THREADS`. Run it twice to measure the serial-vs-parallel
-//!   speedup of the lane pipeline (results are bit-identical either
-//!   way):
+//!   the Lab's job fan-out pinned to a single thread:
 //!
 //!   ```text
-//!   DTEXL_THREADS=1 cargo run --release -p dtexl-bench --bin sweep_timing
-//!   DTEXL_THREADS=4 cargo run --release -p dtexl-bench --bin sweep_timing
+//!   cargo run --release -p dtexl-bench --bin sweep_timing
 //!   ```
 //!
 //! * **`--quick [--out BENCH_sweep.json] [--no-memoize] [--spool]`** —
@@ -36,7 +31,6 @@ use dtexl::spool::{JobSpec, Spool};
 use dtexl::sweep::{
     json_escape, run_sweep, JobRecord, PrefixCache, Progress, ProgressKind, SweepJob, SweepOptions,
 };
-use dtexl_pipeline::PipelineConfig;
 use dtexl_scene::Game;
 use dtexl_sched::ScheduleConfig;
 use std::io::Write as _;
@@ -81,7 +75,6 @@ fn take_value(args: &mut Vec<String>, name: &str) -> Option<String> {
 }
 
 fn bench_all_figures() {
-    let lane_threads = PipelineConfig::default().threads;
     let setup = Setup {
         threads: 1,
         ..Setup::quick()
@@ -92,10 +85,9 @@ fn bench_all_figures() {
     let elapsed = start.elapsed();
     let rows: usize = figures.iter().map(|t| t.rows.len()).sum();
     println!(
-        "quick sweep: {} tables / {} rows, lane threads = {}, {:.3} s",
+        "quick sweep: {} tables / {} rows, {:.3} s",
         figures.len(),
         rows,
-        lane_threads,
         elapsed.as_secs_f64()
     );
 }
@@ -106,7 +98,6 @@ fn bench_all_figures() {
 /// other for cores; the journal-visible metrics are bit-identical
 /// regardless.
 fn bench_quick_sweep(out: Option<&str>, memoize: bool, through_spool: bool) {
-    let lane_threads = PipelineConfig::default().threads;
     let jobs: Vec<SweepJob> = Game::ALL
         .into_iter()
         .flat_map(|game| {
@@ -154,10 +145,7 @@ fn bench_quick_sweep(out: Option<&str>, memoize: bool, through_spool: bool) {
     };
     let total = start.elapsed();
 
-    let mut json = format!(
-        "{{\"total_wall_ms\":{},\"lane_threads\":{lane_threads},\"jobs\":[",
-        total.as_millis()
-    );
+    let mut json = format!("{{\"total_wall_ms\":{},\"jobs\":[", total.as_millis());
     for (i, (key, wall_ms, peak)) in rows.iter().enumerate() {
         if i > 0 {
             json.push(',');
@@ -178,10 +166,9 @@ fn bench_quick_sweep(out: Option<&str>, memoize: bool, through_spool: bool) {
                 std::process::exit(1);
             }
             println!(
-                "quick sweep{}: {} jobs, lane threads = {}, {:.3} s -> {path}",
+                "quick sweep{}: {} jobs, {:.3} s -> {path}",
                 if through_spool { " (spool path)" } else { "" },
                 rows.len(),
-                lane_threads,
                 total.as_secs_f64()
             );
         }

@@ -27,19 +27,19 @@
 //! dtexl sweep merge <journals...> --out merged.jsonl
 //! dtexl sweep canon <journal>
 //! dtexl profile     --game CCS [--schedule dtexl] [--res 1960x768]
-//!                   [--threads N] [--trace-out frame.json]
-//!                   [--rollup-out rollup.json] [--csv]
+//!                   [--trace-out frame.json] [--rollup-out rollup.json]
+//!                   [--csv]
 //! dtexl profile --diff A B  (operands: coupled | decoupled |
 //!                   PATH[@coupled|@decoupled]) [+ the profile flags]
 //! dtexl render      --game SoD --out frame.ppm [--res 980x384]
 //! dtexl characterize [--res 1960x768]
 //! dtexl trace-save  --game CCS --out frame.dtxl [--res 1960x768]
 //! dtexl trace-sim   --in frame.dtxl [--schedule dtexl] [--res 1960x768]
-//!                   [--threads N]
 //! ```
 //!
-//! `--threads` (default: `DTEXL_THREADS` or 1) selects the number of
-//! simulator worker threads; results are bit-identical to `--threads 1`.
+//! `--threads N` (default 1) sets how many jobs `sweep` runs at once
+//! and how many frames `sim --frames` simulates at once; each frame is
+//! one serial simulation, so results do not depend on it.
 //!
 //! `--format json` (any command) switches error reporting to one JSON
 //! object per line on stderr; `sweep` also emits its per-job records as
@@ -70,8 +70,8 @@
 //! `sweep --with-obs` attaches the rollup probes to every job and
 //! journals an `obs` object per record — the per-(SC, stage)
 //! busy/wait cycle totals under both barrier modes plus the frame's
-//! L1/L2/DRAM counters (bit-identical across `--threads` and
-//! `--memoize`; `sweep canon` output is unchanged). `done` progress
+//! L1/L2/DRAM counters (bit-identical with or without `--memoize`;
+//! `sweep canon` output is unchanged). `done` progress
 //! events then carry the job's dominant stall category (`top_stall`)
 //! and `dram_requests`.
 //!
@@ -82,8 +82,8 @@
 //! Chrome-trace JSON viewable at <https://ui.perfetto.dev>, with one
 //! track per unit, and `--rollup-out` writes the journal-form rollup
 //! JSON (the same object `sweep --with-obs` journals). Events carry
-//! simulated cycles, so the output is bit-identical across
-//! `--threads` values. `profile --diff A B` prints the per-unit stall
+//! simulated cycles only, so the output is deterministic.
+//! `profile --diff A B` prints the per-unit stall
 //! delta (signed cycles and percent change) between two rollups: an
 //! operand is `coupled`/`decoupled` (the two barrier modes of one
 //! live capture) or `PATH[@MODE]` (an exported rollup file, mode
@@ -264,16 +264,12 @@ fn parse_res(args: &mut Args) -> Result<(u32, u32), String> {
     }
 }
 
-fn parse_pipeline(args: &mut Args) -> Result<PipelineConfig, String> {
-    // Default: the DTEXL_THREADS environment variable, else serial.
-    let mut pipeline = PipelineConfig::default();
-    if let Some(threads) = args.parsed_value::<usize>("--threads")? {
-        if threads == 0 {
-            return Err("--threads must be >= 1".into());
-        }
-        pipeline.threads = threads;
+/// `--threads N`: how many jobs or frames run at once (default 1).
+fn parse_threads(args: &mut Args) -> Result<usize, String> {
+    match args.parsed_value::<usize>("--threads")? {
+        Some(0) => Err("--threads must be >= 1".into()),
+        threads => Ok(threads.unwrap_or(1)),
     }
-    Ok(pipeline)
 }
 
 fn parse_schedule(args: &mut Args) -> Result<ScheduleConfig, String> {
@@ -289,7 +285,7 @@ fn cmd_sim(args: &mut Args) -> Result<(), String> {
     let schedule = parse_schedule(args)?;
     let coupled = args.flag("--coupled");
     let frames: u32 = args.parsed_value("--frames")?.unwrap_or(1);
-    let pipeline = parse_pipeline(args)?;
+    let threads = parse_threads(args)?;
     args.finish()?;
 
     let config = SimConfig {
@@ -298,7 +294,7 @@ fn cmd_sim(args: &mut Args) -> Result<(), String> {
         height: h,
         frame: 0,
         schedule,
-        pipeline,
+        pipeline: PipelineConfig::default(),
         barrier: if coupled {
             BarrierMode::Coupled
         } else {
@@ -321,7 +317,7 @@ fn cmd_sim(args: &mut Args) -> Result<(), String> {
         println!("  quads shaded {}", r.quads_shaded);
         println!("  energy       {:.4} mJ", r.energy.total_mj());
     } else {
-        let seq = Simulator::simulate_sequence(&config, frames);
+        let seq = Simulator::simulate_sequence(&config, frames, threads);
         println!(
             "{} × {frames} frames: {:.2} fps avg, {:.4} mJ total, {:.0} L2/frame",
             game.alias(),
@@ -457,7 +453,8 @@ fn cmd_sweep(args: &mut Args, format: Format) -> Result<ExitCode, String> {
         Some(_) => None,
         None => Some(SweepAxes::parse(args)?),
     };
-    let pipeline_base = parse_pipeline(args)?;
+    let threads = parse_threads(args)?;
+    let pipeline_base = PipelineConfig::default();
     let keep_going = args.flag("--keep-going");
     let resume = args.flag("--resume");
     let journal = args.value("--journal");
@@ -506,7 +503,7 @@ fn cmd_sweep(args: &mut Args, format: Format) -> Result<ExitCode, String> {
     };
 
     let opts = SweepOptions {
-        workers: pipeline_base.threads,
+        workers: threads,
         keep_going,
         job_timeout,
         retry: RetryPolicy {
@@ -630,11 +627,7 @@ fn cmd_sweep_dispatch(args: &mut Args, format: Format) -> Result<ExitCode, Strin
     let axes = SweepAxes::parse(args)?;
     // Children default to one worker thread so a shard death blames
     // exactly the job that was in flight (`--threads` overrides).
-    let child_threads: usize = match args.parsed_value::<usize>("--threads")? {
-        Some(0) => return Err("--threads must be >= 1".into()),
-        Some(t) => t,
-        None => 1,
-    };
+    let child_threads = parse_threads(args)?;
     // Forwarded per-job fault-tolerance knobs.
     let job_timeout: Option<u64> = args.parsed_value("--job-timeout")?;
     let retries: u32 = args.parsed_value("--retries")?.unwrap_or(0);
@@ -721,10 +714,7 @@ fn cmd_sweep_dispatch(args: &mut Args, format: Format) -> Result<ExitCode, Strin
         sweep_args.push("--with-obs".into());
     }
 
-    let pipeline_base = PipelineConfig {
-        threads: child_threads,
-        ..PipelineConfig::default()
-    };
+    let pipeline_base = PipelineConfig::default();
     let program =
         std::env::current_exe().map_err(|e| format!("cannot locate the dtexl binary: {e}"))?;
     let spec = FleetSpec {
@@ -854,11 +844,7 @@ fn cmd_sweep_daemon(args: &mut Args, format: Format) -> Result<ExitCode, String>
         .ok_or_else(|| "missing --spool <dir>".to_string())?;
     // Same defaults and semantics as `sweep dispatch`, minus the job
     // axes (jobs arrive through the spool).
-    let child_threads: usize = match args.parsed_value::<usize>("--threads")? {
-        Some(0) => return Err("--threads must be >= 1".into()),
-        Some(t) => t,
-        None => 1,
-    };
+    let child_threads = parse_threads(args)?;
     let job_timeout: Option<u64> = args.parsed_value("--job-timeout")?;
     let retries: u32 = args.parsed_value("--retries")?.unwrap_or(0);
     let backoff_ms: u64 = args.parsed_value("--backoff-ms")?.unwrap_or(50);
@@ -949,10 +935,7 @@ fn cmd_sweep_daemon(args: &mut Args, format: Format) -> Result<ExitCode, String>
             poll: std::time::Duration::from_millis(poll_ms.max(1)),
             ..DispatchOptions::default()
         },
-        pipeline: PipelineConfig {
-            threads: child_threads,
-            ..PipelineConfig::default()
-        },
+        pipeline: PipelineConfig::default(),
         poll: std::time::Duration::from_millis(poll_ms.max(1)),
         shutdown: signals::shutdown_requested,
     };
@@ -1037,7 +1020,6 @@ fn cmd_profile(args: &mut Args) -> Result<(), String> {
     let (w, h) = parse_res(args)?;
     let schedule = parse_schedule(args)?;
     let frame: u32 = args.parsed_value("--frame")?.unwrap_or(0);
-    let pipeline = parse_pipeline(args)?;
     let trace_out = args.value("--trace-out");
     let rollup_out = args.value("--rollup-out");
     let csv = args.flag("--csv");
@@ -1049,7 +1031,7 @@ fn cmd_profile(args: &mut Args) -> Result<(), String> {
         height: h,
         frame,
         schedule,
-        pipeline,
+        pipeline: PipelineConfig::default(),
         barrier: BarrierMode::Decoupled,
     };
     let profile = FrameProfile::capture(&config).map_err(|e| e.to_string())?;
@@ -1097,7 +1079,6 @@ fn cmd_profile_diff(args: &mut Args) -> Result<(), String> {
     let (w, h) = parse_res(args)?;
     let schedule = parse_schedule(args)?;
     let frame: u32 = args.parsed_value("--frame")?.unwrap_or(0);
-    let pipeline = parse_pipeline(args)?;
     let csv = args.flag("--csv");
     let operands = args.positionals();
     args.finish()?;
@@ -1125,7 +1106,7 @@ fn cmd_profile_diff(args: &mut Args) -> Result<(), String> {
             height: h,
             frame,
             schedule,
-            pipeline,
+            pipeline: PipelineConfig::default(),
             barrier: BarrierMode::Decoupled,
         };
         Some(
@@ -1306,10 +1287,10 @@ fn cmd_trace_sim(args: &mut Args) -> Result<(), String> {
     let (w, h) = parse_res(args)?;
     let schedule = parse_schedule(args)?;
     let coupled = args.flag("--coupled");
-    let pipeline = parse_pipeline(args)?;
     args.finish()?;
     let scene: Scene =
         dtexl_trace::load_trace(std::path::Path::new(&input)).map_err(|e| e.to_string())?;
+    let pipeline = PipelineConfig::default();
     let r = FrameSim::try_run_with_resolution(&scene, &schedule, &pipeline, w, h)
         .map_err(|e| e.to_string())?;
     let mode = if coupled {

@@ -553,9 +553,9 @@ pub struct DaemonOptions {
     /// overridden to live inside the spool (shard journals are spool
     /// state — that is what makes the daemon's resume exact).
     pub dispatch: DispatchOptions,
-    /// Base pipeline configuration (threads, budgets) the daemon uses
-    /// to compute job keys and config hashes. Must match what the
-    /// worker arguments produce in the children.
+    /// Base pipeline configuration the daemon uses to compute job keys
+    /// and config hashes. Must match what the worker arguments produce
+    /// in the children.
     pub pipeline: dtexl_pipeline::PipelineConfig,
     /// Supervisor loop sleep between ticks.
     pub poll: Duration,
@@ -1228,7 +1228,6 @@ mod tests {
             poll: Duration::from_millis(1),
             ..WorkerOptions::default()
         };
-        wopts.pipeline.threads = 1;
         wopts.sweep.journal = Some(root.join("shard-0.jsonl"));
         wopts.sweep.workers = 1;
         let report = run_spool_worker(&spool, &wopts).expect("worker runs");

@@ -38,7 +38,7 @@ impl Setup {
             height: 768,
             frame: 0,
             games: Game::ALL.to_vec(),
-            // lint: allow(determinism-env) -- worker count is metric-invariant (pinned by tests/parallel_equivalence.rs)
+            // lint: allow(determinism-env) -- worker count only fans out independent jobs (a 2-worker sweep matches direct runs in tests/obs_rollup.rs)
             threads: std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
                 .unwrap_or(4),

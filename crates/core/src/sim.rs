@@ -206,56 +206,34 @@ impl Simulator {
     }
 
     /// Simulate `num_frames` consecutive frames of `config`'s game
-    /// (frame indices `config.frame ..`), returning per-frame and
-    /// aggregate metrics.
-    ///
-    /// With `config.pipeline.threads > 1` the frames are fanned out
-    /// over that many worker threads (each frame then runs its pipeline
-    /// serially, so the machine is not oversubscribed). Frames are
-    /// independent and the report is assembled in frame order, so the
-    /// result is identical to the serial loop.
+    /// (frame indices `config.frame ..`) on up to `workers` threads,
+    /// returning per-frame and aggregate metrics. Frames are independent
+    /// and the report is assembled in frame order, so the result does
+    /// not depend on `workers`.
     ///
     /// # Panics
     ///
     /// Panics on invalid configurations, like [`simulate`](Self::simulate).
     #[must_use]
-    pub fn simulate_sequence(config: &SimConfig, num_frames: u32) -> SequenceReport {
-        let workers = config.pipeline.threads.min(num_frames as usize);
-        let mut report = SequenceReport {
-            cycles: Vec::with_capacity(num_frames as usize),
-            l2_accesses: Vec::with_capacity(num_frames as usize),
-            energy_pj: Vec::with_capacity(num_frames as usize),
-        };
-        if workers <= 1 {
-            for f in 0..num_frames {
-                let frame_cfg = SimConfig {
-                    frame: config.frame + f,
-                    ..*config
-                };
-                let r = Self::simulate(&frame_cfg);
-                report.cycles.push(r.cycles);
-                report.l2_accesses.push(r.l2_accesses);
-                report.energy_pj.push(r.energy.total_pj());
-            }
-            return report;
-        }
-
-        let mut inner = *config;
-        inner.pipeline.threads = 1;
+    pub fn simulate_sequence(
+        config: &SimConfig,
+        num_frames: u32,
+        workers: usize,
+    ) -> SequenceReport {
         let next = std::sync::atomic::AtomicU32::new(0);
         let slots: Vec<parking_lot::Mutex<Option<(u64, u64, f64)>>> = (0..num_frames)
             .map(|_| parking_lot::Mutex::new(None))
             .collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 0..workers.max(1).min(num_frames as usize) {
                 scope.spawn(|| loop {
                     let f = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
                     if f >= num_frames {
                         break;
                     }
                     let frame_cfg = SimConfig {
-                        frame: inner.frame + f,
-                        ..inner
+                        frame: config.frame + f,
+                        ..*config
                     };
                     let r = Self::simulate(&frame_cfg);
                     *slots[f as usize].lock() =
@@ -263,6 +241,11 @@ impl Simulator {
                 });
             }
         });
+        let mut report = SequenceReport {
+            cycles: Vec::with_capacity(num_frames as usize),
+            l2_accesses: Vec::with_capacity(num_frames as usize),
+            energy_pj: Vec::with_capacity(num_frames as usize),
+        };
         for slot in slots {
             // lint: allow(no-panic) -- the scoped pool joins before this loop, so every slot was filled exactly once
             let (cycles, l2, energy) = slot.into_inner().expect("every frame simulated");
@@ -315,7 +298,7 @@ mod tests {
     #[test]
     fn sequences_aggregate_and_vary() {
         let cfg = SimConfig::baseline(Game::SonicDash).with_resolution(256, 128);
-        let seq = Simulator::simulate_sequence(&cfg, 3);
+        let seq = Simulator::simulate_sequence(&cfg, 3, 1);
         assert_eq!(seq.frames(), 3);
         assert!(seq.mean_fps() > 0.0);
         assert!(seq.mean_l2_accesses() > 0.0);
@@ -330,18 +313,16 @@ mod tests {
 
     #[test]
     fn parallel_sequences_match_serial() {
-        let serial = SimConfig::baseline(Game::SonicDash).with_resolution(256, 128);
-        let mut threaded = serial;
-        threaded.pipeline.threads = 4;
-        let a = Simulator::simulate_sequence(&serial, 5);
-        let b = Simulator::simulate_sequence(&threaded, 5);
+        let cfg = SimConfig::baseline(Game::SonicDash).with_resolution(256, 128);
+        let a = Simulator::simulate_sequence(&cfg, 5, 1);
+        let b = Simulator::simulate_sequence(&cfg, 5, 4);
         assert_eq!(a, b, "frame fan-out must not change any metric");
     }
 
     #[test]
     fn empty_sequence() {
         let cfg = SimConfig::baseline(Game::ShootWar).with_resolution(128, 64);
-        let seq = Simulator::simulate_sequence(&cfg, 0);
+        let seq = Simulator::simulate_sequence(&cfg, 0, 1);
         assert_eq!(seq.frames(), 0);
         assert_eq!(seq.mean_fps(), 0.0);
         assert_eq!(seq.mean_l2_accesses(), 0.0);

@@ -2,7 +2,7 @@
 
 use crate::cache::{CacheConfig, SetAssocCache};
 use crate::dram::{DramConfig, DramModel};
-use crate::lane::{L1Lane, L2Request, SharedL2};
+use crate::lane::{L1Lane, SharedL2};
 use crate::stats::HierarchyStats;
 use crate::LineAddr;
 use serde::{Deserialize, Serialize};
@@ -142,9 +142,7 @@ impl TextureHierarchy {
     ///
     /// The lane's L1 is accessed first (the demand line, then any
     /// next-line prefetch fill), then the shared L2 sees the demand
-    /// request, then the prefetch — the order the parallel frame
-    /// simulator's trace-and-replay issues them in, here with a replay
-    /// window of one access.
+    /// request, then the prefetch.
     ///
     /// # Panics
     ///
@@ -153,16 +151,16 @@ impl TextureHierarchy {
     pub fn access(&mut self, sc: usize, line: LineAddr) -> AccessResult {
         let lane = &mut self.lanes[sc];
         let l1_latency = lane.l1_latency();
-        let [Some(demand), prefetch] = lane.requests(line) else {
+        let Some((demand, prefetch)) = lane.access(line) else {
             return AccessResult {
                 l1_hit: true,
                 l2_hit: false,
                 latency: l1_latency,
             };
         };
-        let out = self.shared.replay(demand);
+        let out = self.shared.access(demand);
         if let Some(prefetch) = prefetch {
-            self.shared.replay(prefetch);
+            self.shared.access(prefetch);
         }
         AccessResult {
             l1_hit: false,
@@ -171,49 +169,8 @@ impl TextureHierarchy {
         }
     }
 
-    /// Borrow lane `sc` for independent L1 simulation (tracing).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sc >= num_l1`.
-    pub fn lane_mut(&mut self, sc: usize) -> &mut L1Lane {
-        &mut self.lanes[sc]
-    }
-
-    /// Replay a trace of shared-L2 requests in order, returning the
-    /// below-L1 latency of each demand request (see
-    /// [`SharedL2::replay_demand`]).
-    pub fn replay_demand(&mut self, requests: &[L2Request]) -> Vec<u32> {
-        self.shared.replay_demand(requests)
-    }
-
-    /// Decompose into independently simulable per-SC lanes plus the
-    /// shared levels. Each [`L1Lane`] can be moved to its own worker
-    /// thread; the [`SharedL2`] must stay with the (serial) replay
-    /// pass. [`join`](Self::join) reassembles the hierarchy.
-    #[must_use]
-    pub fn split(self) -> (TextureHierarchyConfig, Vec<L1Lane>, SharedL2) {
-        (self.config, self.lanes, self.shared)
-    }
-
-    /// Reassemble a hierarchy previously taken apart by
-    /// [`split`](Self::split).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lane count does not match `config.num_l1`.
-    #[must_use]
-    pub fn join(config: TextureHierarchyConfig, lanes: Vec<L1Lane>, shared: SharedL2) -> Self {
-        assert_eq!(lanes.len(), config.num_l1, "lane count must match config");
-        Self {
-            config,
-            lanes,
-            shared,
-        }
-    }
-
-    /// Cumulative shared-level counters (constant-time; see
-    /// [`SharedL2::counters`]).
+    /// Cumulative shared-level counters: a constant-time snapshot
+    /// meant to bracket a window of accesses.
     #[must_use]
     pub fn shared_counters(&self) -> crate::stats::MemCounters {
         self.shared.counters()
@@ -233,7 +190,7 @@ impl TextureHierarchy {
     /// Number of distinct lines ever requested (the compulsory-miss
     /// floor; `l1_accesses / distinct_lines` is the paper's
     /// "texture memory block reuse" characterization of §IV-B).
-    /// Counted as the shared L2 replays requests, so it is the union
+    /// Counted as the shared L2 sees requests, so it is the union
     /// over all private L1s at no extra cost here.
     #[must_use]
     pub fn distinct_lines(&self) -> u64 {
@@ -413,42 +370,6 @@ mod tests {
     }
 
     #[test]
-    fn split_trace_replay_matches_monolithic_access() {
-        // Trace each lane independently, replay the request streams in
-        // the serial order, and compare every statistic and latency to
-        // the monolithic access path.
-        let pattern: Vec<(usize, u64)> = (0..400u64)
-            .map(|i| ((i % 4) as usize, (i * 37) % 97))
-            .collect();
-
-        let mut serial = hier();
-        let serial_lat: Vec<u32> = pattern
-            .iter()
-            .map(|&(sc, line)| serial.access(sc, line).latency)
-            .collect();
-
-        let (cfg, mut lanes, mut shared) = hier().split();
-        // Trace: per-lane request streams plus per-access hit flags, as
-        // the parallel fragment stage would produce them. The pattern
-        // interleaves lanes, so replay must interleave identically.
-        let mut traced_lat = Vec::new();
-        for &(sc, line) in &pattern {
-            let mut sink = Vec::new();
-            let l1_latency = lanes[sc].l1_latency();
-            if lanes[sc].access(line, &mut sink) {
-                traced_lat.push(l1_latency);
-            } else {
-                let lat = shared.replay_demand(&sink);
-                traced_lat.push(l1_latency + lat[0]);
-            }
-        }
-        assert_eq!(serial_lat, traced_lat);
-        let rejoined = TextureHierarchy::join(cfg, lanes, shared);
-        assert_eq!(serial.stats(), rejoined.stats());
-        assert_eq!(serial.distinct_lines(), rejoined.distinct_lines());
-    }
-
-    #[test]
     fn distinct_lines_match_a_btreeset_oracle() {
         use std::collections::BTreeSet;
         // Clusters below and above the texture base (line 4,194,304),
@@ -480,38 +401,21 @@ mod tests {
                 // Oracle: every accessed line, plus the next line of
                 // each L1 miss when prefetching (skipped only when
                 // already resident, i.e. already requested).
-                let mut serial = TextureHierarchy::new(cfg);
+                let mut h = TextureHierarchy::new(cfg);
                 let mut oracle = BTreeSet::new();
                 for &(sc, line) in &stream {
                     oracle.insert(line);
-                    if !serial.access(sc, line).l1_hit && prefetch_next_line {
+                    if !h.access(sc, line).l1_hit && prefetch_next_line {
                         oracle.insert(line + 1);
                     }
                 }
-                let what = format!("{num_l1} lanes, prefetch {prefetch_next_line}");
-                assert_eq!(serial.distinct_lines(), oracle.len() as u64, "{what}");
-
-                let (cfg, mut lanes, mut shared) = TextureHierarchy::new(cfg).split();
-                for &(sc, line) in &stream {
-                    let mut sink = Vec::new();
-                    lanes[sc].access(line, &mut sink);
-                    shared.replay_demand(&sink);
-                }
-                let rejoined = TextureHierarchy::join(cfg, lanes, shared);
-                assert_eq!(serial.stats(), rejoined.stats(), "{what}");
+                assert_eq!(
+                    h.distinct_lines(),
+                    oracle.len() as u64,
+                    "{num_l1} lanes, prefetch {prefetch_next_line}"
+                );
             }
         }
-    }
-
-    #[test]
-    fn split_join_roundtrip_preserves_state() {
-        let mut h = hier();
-        h.access(0, 1);
-        h.access(1, 1);
-        let (cfg, lanes, shared) = h.split();
-        let mut h = TextureHierarchy::join(cfg, lanes, shared);
-        assert_eq!(h.stats().l2.accesses, 2);
-        assert!(h.access(0, 1).l1_hit, "residency survives the roundtrip");
     }
 
     #[test]

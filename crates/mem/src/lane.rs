@@ -1,26 +1,18 @@
-//! Decoupled L1-lane / shared-L2 halves of the texture hierarchy.
+//! The two halves of the texture hierarchy: each shader core's private
+//! [`L1Lane`] and the [`SharedL2`] with DRAM behind it.
 //!
-//! The serial [`TextureHierarchy::access`](crate::TextureHierarchy::access)
-//! interleaves private-L1 state updates with shared-L2/DRAM accesses.
-//! For parallel frame simulation the two halves are pulled apart:
-//!
-//! * each shader core's [`L1Lane`] is simulated independently (it only
-//!   reads and writes its own private cache), emitting the stream of
-//!   [`L2Request`]s that would have reached the shared levels;
-//! * a serial replay pass drives those requests into the [`SharedL2`]
-//!   in the exact order the serial simulator would have issued them.
-//!
-//! Because the DRAM latency hash depends on the global request index,
-//! the replay order is what makes parallel runs bit-identical to the
-//! serial reference: same L2 access sequence, same DRAM latencies,
-//! same statistics.
+//! An L1 access that misses sends up to two lines to the shared L2 — the
+//! demand line, then an optional next-line prefetch — which
+//! [`TextureHierarchy::access`](crate::TextureHierarchy::access) hands to
+//! the shared levels at once, in that order. The DRAM latency hash
+//! depends on the global request index, so that order is part of every
+//! metric.
 //!
 //! Distinct lines (the compulsory-miss floor in
 //! [`HierarchyStats::distinct_lines`](crate::HierarchyStats::distinct_lines))
 //! are counted once, at the shared level: every line an L1 fills —
-//! demand miss or next-line prefetch — is a request [`SharedL2::replay`]
-//! sees, so one set there equals the union over all lanes, on the
-//! serial and the split path alike.
+//! demand miss or next-line prefetch — is a request [`SharedL2::access`]
+//! sees, so one set there equals the union over all lanes.
 
 use crate::cache::SetAssocCache;
 use crate::dram::DramModel;
@@ -76,20 +68,9 @@ impl LineSet {
     }
 }
 
-/// One request bound for the shared L2, recorded while tracing a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct L2Request {
-    /// Line address.
-    pub line: LineAddr,
-    /// `true` for next-line prefetch fills: charged to the bandwidth
-    /// statistics but carrying no demand latency.
-    pub prefetch: bool,
-}
-
-/// A private L1 texture cache plus the per-lane bookkeeping needed to
-/// simulate it in isolation from the shared levels.
+/// A private L1 texture cache and its next-line prefetch setting.
 #[derive(Debug)]
-pub struct L1Lane {
+pub(crate) struct L1Lane {
     l1: SetAssocCache,
     prefetch_next_line: bool,
 }
@@ -103,51 +84,29 @@ impl L1Lane {
     }
 
     /// L1 hit latency in cycles.
-    #[must_use]
-    pub fn l1_latency(&self) -> u32 {
+    pub(crate) fn l1_latency(&self) -> u32 {
         self.l1.config().latency
     }
 
-    /// Access `line`, appending any shared-L2 requests (the demand miss
-    /// first, then an optional next-line prefetch) to `sink`. Returns
-    /// whether the access hit in the private L1.
-    ///
-    /// The L1 state transition is identical to the serial hierarchy's:
-    /// prefetch decisions probe only this lane's cache, so they can be
-    /// made without consulting the L2.
+    /// Access `line` and return the lines that sends to the shared L2:
+    /// `None` on an L1 hit; on a miss the demand line, then the next
+    /// line if the L1 prefetched it. Prefetch decisions probe only this
+    /// lane's cache.
     #[inline]
-    pub fn access(&mut self, line: LineAddr, sink: &mut Vec<L2Request>) -> bool {
-        let requests = self.requests(line);
-        sink.extend(requests.into_iter().flatten());
-        requests[0].is_none()
-    }
-
-    /// Access `line` and return the shared-L2 requests that emits: none
-    /// on an L1 hit; on a miss the demand request, then a next-line
-    /// prefetch if the L1 prefetched.
-    #[inline]
-    pub(crate) fn requests(&mut self, line: LineAddr) -> [Option<L2Request>; 2] {
+    pub(crate) fn access(&mut self, line: LineAddr) -> Option<(LineAddr, Option<LineAddr>)> {
         if self.l1.access(line).hit {
-            return [None, None];
+            return None;
         }
         let next = line + 1;
         let prefetch = (self.prefetch_next_line && !self.l1.probe(next)).then(|| {
             self.l1.access(next);
-            L2Request {
-                line: next,
-                prefetch: true,
-            }
+            next
         });
-        let demand = L2Request {
-            line,
-            prefetch: false,
-        };
-        [Some(demand), prefetch]
+        Some((line, prefetch))
     }
 
     /// Whether `line` is currently resident (no state change).
-    #[must_use]
-    pub fn probe(&self, line: LineAddr) -> bool {
+    pub(crate) fn probe(&self, line: LineAddr) -> bool {
         self.l1.probe(line)
     }
 
@@ -160,21 +119,21 @@ impl L1Lane {
     }
 }
 
-/// Outcome of replaying one [`L2Request`] into the shared levels.
+/// Outcome of one line request to the shared levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReplayOutcome {
+pub(crate) struct L2Outcome {
     /// Hit in the shared L2.
-    pub l2_hit: bool,
+    pub(crate) l2_hit: bool,
     /// Latency below the L1 in cycles: the L2 hit latency, plus the
     /// DRAM fill latency on an L2 miss.
-    pub latency: u32,
+    pub(crate) latency: u32,
 }
 
 /// The shared half of the texture hierarchy: the L2 and the DRAM model
-/// behind it. Requests must be replayed in the serial issue order —
-/// the DRAM latency depends on the global request index.
+/// behind it. The DRAM latency depends on the global request index, so
+/// request order matters.
 #[derive(Debug)]
-pub struct SharedL2 {
+pub(crate) struct SharedL2 {
     l2: SetAssocCache,
     dram: DramModel,
     /// Every line ever requested: the distinct-line count.
@@ -190,43 +149,28 @@ impl SharedL2 {
         }
     }
 
-    /// Replay one request: an L2 lookup, plus a DRAM fill on a miss.
+    /// Request `line`: an L2 lookup, plus a DRAM fill on a miss.
     #[inline]
-    pub fn replay(&mut self, req: L2Request) -> ReplayOutcome {
-        self.seen.insert(req.line);
+    pub(crate) fn access(&mut self, line: LineAddr) -> L2Outcome {
+        self.seen.insert(line);
         let l2_latency = self.l2.config().latency;
-        if self.l2.access(req.line).hit {
-            ReplayOutcome {
+        if self.l2.access(line).hit {
+            L2Outcome {
                 l2_hit: true,
                 latency: l2_latency,
             }
         } else {
-            let dram_latency = self.dram.request(req.line);
-            ReplayOutcome {
+            let dram_latency = self.dram.request(line);
+            L2Outcome {
                 l2_hit: false,
                 latency: l2_latency + dram_latency,
             }
         }
     }
 
-    /// Replay a trace of requests in order, returning the below-L1
-    /// latency of each *demand* request (one entry per non-prefetch
-    /// request, in trace order). Prefetches are replayed for their
-    /// statistics but yield no latency entry.
-    pub fn replay_demand(&mut self, requests: &[L2Request]) -> Vec<u32> {
-        requests
-            .iter()
-            .filter_map(|&req| {
-                let out = self.replay(req);
-                (!req.prefetch).then_some(out.latency)
-            })
-            .collect()
-    }
-
     /// Cumulative shared-level counters (see [`MemCounters`]): a
-    /// constant-time snapshot meant to bracket replay windows.
-    #[must_use]
-    pub fn counters(&self) -> MemCounters {
+    /// constant-time snapshot meant to bracket a window of accesses.
+    pub(crate) fn counters(&self) -> MemCounters {
         let l2 = self.l2.stats();
         MemCounters {
             l2_accesses: l2.accesses,
@@ -272,83 +216,29 @@ mod tests {
     }
 
     #[test]
-    fn lane_emits_demand_requests_on_misses_only() {
+    fn lane_sends_lines_to_the_l2_on_misses_only() {
         let mut l = lane(false);
-        let mut sink = Vec::new();
-        assert!(!l.access(7, &mut sink));
-        assert!(l.access(7, &mut sink));
-        assert_eq!(
-            sink,
-            vec![L2Request {
-                line: 7,
-                prefetch: false
-            }]
-        );
+        assert_eq!(l.access(7), Some((7, None)));
+        assert_eq!(l.access(7), None);
     }
 
     #[test]
-    fn lane_prefetch_appends_after_the_demand() {
+    fn lane_prefetch_follows_the_demand() {
         let mut l = lane(true);
-        let mut sink = Vec::new();
-        l.access(100, &mut sink);
-        assert_eq!(sink.len(), 2);
-        assert!(!sink[0].prefetch && sink[0].line == 100);
-        assert!(sink[1].prefetch && sink[1].line == 101);
+        assert_eq!(l.access(100), Some((100, Some(101))));
         // The prefetched line is resident, so its demand access hits
-        // and emits nothing.
-        sink.clear();
-        assert!(l.access(101, &mut sink));
-        assert!(sink.is_empty());
+        // and sends nothing.
+        assert_eq!(l.access(101), None);
     }
 
     #[test]
-    fn replay_matches_a_direct_l2_walk() {
-        // Replaying a trace must access the L2/DRAM in exactly the
-        // recorded order: same hits, same latencies.
-        let reqs = vec![
-            L2Request {
-                line: 1,
-                prefetch: false,
-            },
-            L2Request {
-                line: 2,
-                prefetch: true,
-            },
-            L2Request {
-                line: 1,
-                prefetch: false,
-            },
-        ];
-        let mut a = shared();
-        let lat = a.replay_demand(&reqs);
-        assert_eq!(lat.len(), 2, "one latency per demand request");
-        let mut b = shared();
-        let first = b.replay(reqs[0]);
-        assert!(!first.l2_hit);
-        assert_eq!(lat[0], first.latency);
-        b.replay(reqs[1]);
-        let third = b.replay(reqs[2]);
-        assert!(third.l2_hit, "line 1 is now resident");
-        assert_eq!(lat[1], third.latency);
-    }
-
-    #[test]
-    fn replay_order_changes_dram_latencies() {
-        // The DRAM hash depends on the request index, so replay order
-        // is semantically meaningful — the property the serial replay
-        // pass preserves.
-        let r1 = L2Request {
-            line: 11,
-            prefetch: false,
-        };
-        let r2 = L2Request {
-            line: 23,
-            prefetch: false,
-        };
+    fn request_order_changes_dram_latencies() {
+        // The DRAM hash depends on the request index, so the order the
+        // shared levels see requests in is part of every metric.
         let mut fwd = shared();
-        let a = fwd.replay_demand(&[r1, r2]);
+        let a = [fwd.access(11).latency, fwd.access(23).latency];
         let mut rev = shared();
-        let b = rev.replay_demand(&[r2, r1]);
+        let b = [rev.access(23).latency, rev.access(11).latency];
         assert!(
             a[0] != b[1] || a[1] != b[0],
             "order-dependent latencies: {a:?} vs {b:?}"

@@ -47,7 +47,6 @@ mod stats;
 pub use cache::{AccessOutcome, CacheConfig, SetAssocCache};
 pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{AccessResult, ReplacementKind, TextureHierarchy, TextureHierarchyConfig};
-pub use lane::{L1Lane, L2Request, ReplayOutcome, SharedL2};
 pub use stats::{CacheStats, HierarchyStats, MemCounters};
 
 /// Event-energy model (per-access energies plus leakage) standing in for

@@ -48,7 +48,7 @@ impl AddAssign for CacheStats {
 }
 
 /// Cheap monotone snapshot of the shared levels (L2 + DRAM), taken
-/// before/after a replay window so observability probes can attribute
+/// before/after a window of accesses so observability probes can attribute
 /// the delta to one fragment subtile without walking full
 /// [`HierarchyStats`]. All counters are cumulative since construction;
 /// subtract two snapshots to get a window's traffic.

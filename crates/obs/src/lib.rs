@@ -18,9 +18,9 @@
 //!   sweep/bench paths keep their allocation profile.
 //! * **Determinism is non-negotiable.** An [`Event`] carries *simulated*
 //!   time stamps and counters only — never wall-clock values — and the
-//!   pipeline records events on its serial replay path in tile-major /
-//!   SC-ascending order, so the event stream is bit-identical across
-//!   `threads` settings (pinned by `tests/obs_determinism.rs`).
+//!   pipeline records them in tile-major / SC-ascending order, so the
+//!   event stream is a pure function of the simulated frame (pinned by
+//!   `tests/obs_determinism.rs`).
 //! * **Bounded memory.** [`EventSink`] is a ring buffer: recording never
 //!   allocates past the configured capacity, and overflow is surfaced
 //!   as a [`dropped`](EventSink::dropped) count instead of silent loss.
@@ -129,22 +129,22 @@ impl Span {
 }
 
 /// Memory-hierarchy counters for one fragment subtile (one SC's share
-/// of one tile), deltas over that subtile's trace + replay.
+/// of one tile), deltas over that subtile's hierarchy walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MemSample {
     /// Tile index.
     pub tile: u32,
     /// Shader core the subtile ran on.
     pub sc: u8,
-    /// Private-L1 hits during the trace pass.
+    /// Private-L1 hits of the subtile's demand accesses.
     pub l1_hits: u64,
     /// Private-L1 misses (these become L2 requests).
     pub l1_misses: u64,
-    /// Shared-L2 hits during demand replay.
+    /// Shared-L2 hits (demand and prefetch requests).
     pub l2_hits: u64,
     /// Shared-L2 misses (these become DRAM requests).
     pub l2_misses: u64,
-    /// DRAM requests issued during demand replay.
+    /// DRAM requests issued during the walk.
     pub dram_requests: u64,
     /// DRAM requests that landed on a modeled latency spike.
     pub dram_spikes: u64,

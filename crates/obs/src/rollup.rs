@@ -164,11 +164,11 @@ pub struct ObsRollup {
     pub l1_hits: u64,
     /// Private-L1 misses across all fragment subtiles.
     pub l1_misses: u64,
-    /// Shared-L2 hits during demand replay.
+    /// Shared-L2 hits across all fragment subtiles.
     pub l2_hits: u64,
-    /// Shared-L2 misses during demand replay.
+    /// Shared-L2 misses across all fragment subtiles.
     pub l2_misses: u64,
-    /// DRAM requests issued during demand replay.
+    /// DRAM requests across all fragment subtiles.
     pub dram_requests: u64,
     /// DRAM requests that landed on a modeled latency spike.
     pub dram_spikes: u64,

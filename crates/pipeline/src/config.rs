@@ -60,13 +60,6 @@ pub struct PipelineConfig {
     /// Model the Fig. 16 upper bound: a single SC whose L1 aggregates
     /// all private capacity (4×), eliminating replication.
     pub upper_bound: bool,
-    /// Simulator worker threads for the fragment stage (one per SC
-    /// lane) and for frame-sequence fan-out. `1` is the fully serial
-    /// reference path; parallel runs are bit-identical to it by
-    /// construction (each lane's L1 is traced independently and the
-    /// shared L2 replays the miss streams in serial order). Defaults
-    /// to the `DTEXL_THREADS` environment variable when set, else 1.
-    pub threads: usize,
     /// Deterministic fault injection (robustness testing; off by
     /// default — see [`FaultPlan`]).
     pub fault: FaultPlan,
@@ -88,24 +81,12 @@ impl Default for PipelineConfig {
             // lines; one line per cycle.
             flush_cycles_per_bank: 16,
             upper_bound: false,
-            threads: Self::default_threads(),
             fault: FaultPlan::default(),
         }
     }
 }
 
 impl PipelineConfig {
-    /// The default simulator thread count: `DTEXL_THREADS` when set to
-    /// a positive integer, else 1 (serial).
-    #[must_use]
-    pub fn default_threads() -> usize {
-        // lint: allow(determinism-env) -- documented DTEXL_THREADS knob; thread count is metric-invariant (pinned by tests/parallel_equivalence.rs)
-        std::env::var("DTEXL_THREADS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&t| t > 0)
-            .unwrap_or(1)
-    }
     /// Quads per tile row/column.
     #[must_use]
     pub fn quads_per_side(&self) -> u32 {
@@ -163,11 +144,6 @@ impl PipelineConfig {
         }
         if self.warp_slots == 0 {
             return Err(SimError::Config("need at least one warp slot".into()));
-        }
-        if self.threads == 0 {
-            return Err(SimError::Config(
-                "threads must be >= 1 (1 selects the serial reference path)".into(),
-            ));
         }
         if self.raster_quads_per_cycle == 0 {
             return Err(SimError::Config(
@@ -231,11 +207,6 @@ mod tests {
             err.to_string().contains("num_sc = 8"),
             "error names the value: {err}"
         );
-        let c = PipelineConfig {
-            threads: 0,
-            ..PipelineConfig::default()
-        };
-        assert!(c.validate().is_err());
     }
 
     #[test]
@@ -263,16 +234,5 @@ mod tests {
         let h = c.effective_hierarchy();
         assert_eq!(h.dram.spike_period, 7);
         assert_eq!(h.dram.spike_extra, 300);
-    }
-
-    #[test]
-    fn threads_default_is_serial_without_env() {
-        // The test environment does not set DTEXL_THREADS, so the
-        // default must be the serial path.
-        if std::env::var("DTEXL_THREADS").is_err() {
-            assert_eq!(PipelineConfig::default().threads, 1);
-        } else {
-            assert!(PipelineConfig::default().threads >= 1);
-        }
     }
 }

@@ -77,15 +77,6 @@ pub struct FaultPlan {
     /// The buffer is freed before simulation starts, so only allocator
     /// high-water marks see it.
     pub alloc_spike_mb: u32,
-    /// Maximum wall-clock jitter (nanoseconds) a parallel lane worker
-    /// sleeps before handing each subtile trace to the serial replay.
-    /// Seeded per `(tile, lane)` from [`FaultPlan::seed`], this
-    /// adversarially permutes worker *completion* order without
-    /// touching any simulated metric — the schedule-permutation race
-    /// harness uses it to prove the replay is order-insensitive
-    /// (`tests/schedule_permutation.rs`). Zero (the default) disables
-    /// it.
-    pub trace_send_jitter_ns: u64,
 }
 
 impl FaultPlan {
@@ -97,7 +88,6 @@ impl FaultPlan {
             && self.dram_spike.is_none()
             && self.wall_stall_ms == 0
             && self.alloc_spike_mb == 0
-            && self.trace_send_jitter_ns == 0
     }
 
     /// Check the plan against the hardware it will be injected into.
@@ -151,21 +141,6 @@ impl FaultPlan {
             return 0;
         }
         (splitmix64(self.seed ^ 0xE2) % num_tiles as u64) as usize
-    }
-
-    /// Seeded wall-clock delay (if any) a lane worker inserts before
-    /// sending the trace for `(tile, lane)`: uniform in
-    /// `[0, trace_send_jitter_ns)` from an uncorrelated splitmix64
-    /// stream. `None` when the knob is off.
-    #[must_use]
-    pub fn send_jitter(&self, tile: usize, lane: usize) -> Option<std::time::Duration> {
-        if self.trace_send_jitter_ns == 0 {
-            return None;
-        }
-        let stream = splitmix64(self.seed ^ ((tile as u64) << 8) ^ lane as u64 ^ 0x6a17);
-        Some(std::time::Duration::from_nanos(
-            stream % self.trace_send_jitter_ns,
-        ))
     }
 
     /// Inject the lane stall (if any) into recorded stage durations.
@@ -264,29 +239,6 @@ mod tests {
             })
             .collect();
         assert!(tiles.len() > 8, "seeds spread over tiles: {tiles:?}");
-    }
-
-    #[test]
-    fn send_jitter_is_seeded_bounded_and_off_by_default() {
-        assert_eq!(FaultPlan::default().send_jitter(3, 1), None);
-        let f = FaultPlan {
-            seed: 9,
-            trace_send_jitter_ns: 50_000,
-            ..FaultPlan::default()
-        };
-        let mut distinct = std::collections::HashSet::new();
-        for tile in 0..16 {
-            for lane in 0..4 {
-                let d = f.send_jitter(tile, lane).unwrap();
-                assert_eq!(Some(d), f.send_jitter(tile, lane), "replayable");
-                assert!(d.as_nanos() < 50_000);
-                distinct.insert(d);
-            }
-        }
-        assert!(
-            distinct.len() > 32,
-            "jitter decorrelates (tile, lane) pairs"
-        );
     }
 
     #[test]

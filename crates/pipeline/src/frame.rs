@@ -4,12 +4,11 @@ use crate::config::{BarrierMode, PipelineConfig};
 use crate::error::SimError;
 use crate::geometry::GeometryStats;
 use crate::prefix::FramePrefix;
-use crate::shade::{ShaderCore, ShaderCoreStats, SubtileTrace};
+use crate::shade::{ShaderCore, ShaderCoreStats};
 use crate::tiling::TilingStats;
 use crate::timing::{compose_frame, StageDurations};
-use crossbeam::channel::bounded;
 use dtexl_mem::energy::EnergyEvents;
-use dtexl_mem::{HierarchyStats, L1Lane, MemCounters, TextureHierarchy, LINE_BYTES};
+use dtexl_mem::{HierarchyStats, TextureHierarchy, LINE_BYTES};
 use dtexl_obs::{Event, MemSample, NullProbe, Probe, RasterSample};
 use dtexl_scene::Scene;
 use dtexl_sched::{ScheduleConfig, TileSchedule};
@@ -288,10 +287,9 @@ impl FrameSim {
     /// but threading an observability probe through the functional
     /// pass: the serial front half records one
     /// [`Event::Raster`] per tile and the fragment stage one
-    /// [`Event::Mem`] per (tile, SC) subtile, always in tile-major /
-    /// SC-ascending order — the same order the shared memory levels
-    /// replay in — so the event stream is bit-identical across
-    /// `config.threads` settings. Busy/wait [`Event::Span`]s are *not*
+    /// [`Event::Mem`] per (tile, SC) subtile, in tile-major /
+    /// SC-ascending order — the order the shared memory levels see the
+    /// subtiles in. Busy/wait [`Event::Span`]s are *not*
     /// emitted here; they come from frame-time composition
     /// ([`compose_frame_probed`](crate::timing::compose_frame_probed))
     /// over the returned [`StageDurations`].
@@ -332,10 +330,9 @@ impl FrameSim {
     /// the same scene, because the fresh path is implemented as
     /// `FramePrefix::build` followed by this exact leg.
     ///
-    /// `config` may differ from the prefix's build configuration only
-    /// in `threads` (thread count is metric-invariant); the wall-clock
-    /// and allocation fault hooks still fire per leg, so sweep
-    /// watchdogs see every job.
+    /// `config` must equal the prefix's build configuration; the
+    /// wall-clock and allocation fault hooks still fire per leg, so
+    /// sweep watchdogs see every job.
     ///
     /// # Errors
     ///
@@ -365,9 +362,7 @@ impl FrameSim {
         probe: &mut P,
     ) -> Result<FrameResult, SimError> {
         config.validate()?;
-        let mut normalized = *config;
-        normalized.threads = 1;
-        if normalized != prefix.config {
+        if *config != prefix.config {
             return Err(SimError::Config(
                 "frame prefix was built under a different pipeline configuration".into(),
             ));
@@ -378,7 +373,7 @@ impl FrameSim {
 
     /// The schedule-dependent remainder of the simulation: partition
     /// the prefix arenas under `schedule`, then run the fragment stage
-    /// (L1 lane walks, shared-L2 replay, warp timing) per subtile.
+    /// (the hierarchy walk and warp timing) per subtile.
     fn run_leg<P: Probe>(
         prefix: &FramePrefix,
         schedule: &ScheduleConfig,
@@ -432,83 +427,55 @@ impl FrameSim {
             });
         }
 
-        // Fragment stage: run each SC's subtile on the warp model. In
-        // upper-bound mode all quads execute on the single core, in
-        // slot order (cache metric only). With `threads > 1` the SC
-        // lanes are simulated on worker threads and their L1-miss
-        // streams replayed serially — bit-identical to the serial path.
+        // Fragment stage: run each SC's subtile on the warp model,
+        // tile-major and SC-ascending. In upper-bound mode all quads
+        // execute on the single core, in slot order (cache metric only).
         let mut hierarchy = TextureHierarchy::new(config.effective_hierarchy());
         let core = ShaderCore::new(config.warp_slots, config.l1_miss_fill_cycles);
-        let workers = config.threads.min(config.effective_num_sc());
 
         let mut tiles = Vec::with_capacity(legs.len());
         let mut durations = StageDurations::default();
         let mut shader_total = ShaderCoreStats::default();
-
-        if workers <= 1 {
-            let mut merged: Vec<u32> = Vec::new();
-            for (ti, leg) in legs.iter().enumerate() {
-                durations.fetch.push(leg.fetch);
-                durations.raster.push(leg.raster);
-                let mut rec = leg.rec;
-                let mut ez = [0u64; 4];
-                let mut frag = [0u64; 4];
-                let mut blend = [0u64; 4];
-                if config.upper_bound {
-                    // All quads on the single core: the per-SC lists
-                    // concatenated in SC order — the order the serial
-                    // reference has always shaded them in.
-                    merged.clear();
-                    for r in leg.sc {
-                        merged.extend_from_slice(&sc_idx[span(r)]);
-                    }
-                    let (cycles, stats) =
-                        run_subtile_cached(prefix, &core, 0, ti, &merged, &mut hierarchy, probe);
-                    rec.quads_shaded[0] = merged.len() as u32;
-                    rec.frag_cycles[0] = cycles;
-                    shader_total += stats;
-                    ez[0] = u64::from(rec.quads_rasterized.iter().sum::<u32>());
-                    frag[0] = cycles;
-                    blend[0] = merged.len() as u64 + u64::from(config.flush_cycles_per_bank);
-                } else {
-                    for (sc, &r) in leg.sc.iter().enumerate().take(config.num_sc) {
-                        let indices = &sc_idx[span(r)];
-                        let (cycles, stats) = run_subtile_cached(
-                            prefix,
-                            &core,
-                            sc,
-                            ti,
-                            indices,
-                            &mut hierarchy,
-                            probe,
-                        );
-                        rec.quads_shaded[sc] = indices.len() as u32;
-                        rec.frag_cycles[sc] = cycles;
-                        shader_total += stats;
-                        ez[sc] = u64::from(rec.quads_rasterized[sc]);
-                        frag[sc] = cycles;
-                        blend[sc] = indices.len() as u64 + u64::from(config.flush_cycles_per_bank);
-                    }
+        let mut merged: Vec<u32> = Vec::new();
+        for (ti, leg) in legs.iter().enumerate() {
+            durations.fetch.push(leg.fetch);
+            durations.raster.push(leg.raster);
+            let mut rec = leg.rec;
+            let mut ez = [0u64; 4];
+            let mut frag = [0u64; 4];
+            let mut blend = [0u64; 4];
+            if config.upper_bound {
+                // All quads on the single core: the per-SC lists
+                // concatenated in SC order.
+                merged.clear();
+                for r in leg.sc {
+                    merged.extend_from_slice(&sc_idx[span(r)]);
                 }
-                durations.early_z.push(ez);
-                durations.fragment.push(frag);
-                durations.blend.push(blend);
-                tiles.push(rec);
+                let (cycles, stats) =
+                    run_subtile_cached(prefix, &core, 0, ti, &merged, &mut hierarchy, probe);
+                rec.quads_shaded[0] = merged.len() as u32;
+                rec.frag_cycles[0] = cycles;
+                shader_total += stats;
+                ez[0] = u64::from(rec.quads_rasterized.iter().sum::<u32>());
+                frag[0] = cycles;
+                blend[0] = merged.len() as u64 + u64::from(config.flush_cycles_per_bank);
+            } else {
+                for (sc, &r) in leg.sc.iter().enumerate().take(config.num_sc) {
+                    let indices = &sc_idx[span(r)];
+                    let (cycles, stats) =
+                        run_subtile_cached(prefix, &core, sc, ti, indices, &mut hierarchy, probe);
+                    rec.quads_shaded[sc] = indices.len() as u32;
+                    rec.frag_cycles[sc] = cycles;
+                    shader_total += stats;
+                    ez[sc] = u64::from(rec.quads_rasterized[sc]);
+                    frag[sc] = cycles;
+                    blend[sc] = indices.len() as u64 + u64::from(config.flush_cycles_per_bank);
+                }
             }
-        } else {
-            hierarchy = Self::fragment_parallel(
-                config,
-                core,
-                hierarchy,
-                prefix,
-                &legs,
-                &sc_idx,
-                workers,
-                &mut tiles,
-                &mut durations,
-                &mut shader_total,
-                probe,
-            );
+            durations.early_z.push(ez);
+            durations.fragment.push(frag);
+            durations.blend.push(blend);
+            tiles.push(rec);
         }
 
         // Inject any lane-stall fault into the recorded durations.
@@ -528,158 +495,6 @@ impl FrameSim {
             hierarchy: hierarchy.stats(),
             shader: shader_total,
         }
-    }
-
-    /// The parallel fragment stage: one worker thread per SC lane
-    /// traces its private L1 over the lane's subtile stream (tile
-    /// order), while this thread replays the emitted L2-request streams
-    /// into the shared levels **tile-major, SC 0..3** — the exact order
-    /// the serial path issues them, so every latency and statistic is
-    /// bit-identical.
-    ///
-    /// Upper-bound mode has a single effective lane, so it always takes
-    /// the serial path and never reaches here.
-    #[allow(clippy::too_many_arguments)]
-    fn fragment_parallel<P: Probe>(
-        config: &PipelineConfig,
-        core: ShaderCore,
-        hierarchy: TextureHierarchy,
-        prefix: &FramePrefix,
-        legs: &[LegTile],
-        sc_idx: &[u32],
-        workers: usize,
-        tiles: &mut Vec<TileRecord>,
-        durations: &mut StageDurations,
-        shader_total: &mut ShaderCoreStats,
-        probe: &mut P,
-    ) -> TextureHierarchy {
-        /// Bounded per-lane pipeline depth: how many tiles a lane may
-        /// trace ahead of the serial replay (backpressure bound).
-        const REPLAY_DEPTH: usize = 32;
-
-        debug_assert!(!config.upper_bound, "upper bound is single-lane (serial)");
-        let lanes = config.effective_num_sc();
-        let l1_latency = config.effective_hierarchy().l1.latency;
-        let (hcfg, lane_states, mut shared) = hierarchy.split();
-        debug_assert_eq!(lane_states.len(), lanes);
-
-        let mut rejoined: Vec<Option<L1Lane>> = (0..lanes).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut txs = Vec::with_capacity(lanes);
-            let mut rxs = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                let (tx, rx) = bounded::<SubtileTrace>(REPLAY_DEPTH);
-                txs.push(Some(tx));
-                rxs.push(rx);
-            }
-
-            // Distribute the lanes round-robin over the workers; each
-            // worker owns its lanes' L1 state and trace senders.
-            let mut assignment: Vec<Vec<(usize, L1Lane)>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (sc, lane) in lane_states.into_iter().enumerate() {
-                assignment[sc % workers].push((sc, lane));
-            }
-            // If this (job) thread is metered, hand the meter to every
-            // lane worker so `peak_alloc_bytes` covers their trace
-            // buffers and L1 state too — budgets stay honest under
-            // `threads > 1` instead of metering only the job thread.
-            let job_meter = dtexl_alloc::current_meter();
-            let mut handles = Vec::with_capacity(workers);
-            for mut owned in assignment {
-                let txs: Vec<_> = owned
-                    .iter()
-                    // lint: allow(no-panic) -- round-robin assignment visits each SC exactly once by construction
-                    .map(|(sc, _)| txs[*sc].take().expect("each lane assigned once"))
-                    .collect();
-                let fault = config.fault;
-                let meter = job_meter.clone();
-                handles.push(scope.spawn(move || {
-                    let _tag = meter.as_ref().map(dtexl_alloc::meter_current_thread);
-                    'tiles: for (ti, leg) in legs.iter().enumerate() {
-                        for ((sc, lane), tx) in owned.iter_mut().zip(&txs) {
-                            let indices = &sc_idx[span(leg.sc[*sc])];
-                            let mut trace = core.trace_prepared(prefix.prepared(indices), lane);
-                            trace.origin = (ti, *sc);
-                            // Race-harness hook: a seeded wall-clock
-                            // delay perturbs lane *completion* order
-                            // without touching simulated state.
-                            if let Some(jitter) = fault.send_jitter(ti, *sc) {
-                                // lint: taint-barrier(jitter shifts lane completion wall time only; replay order and every metric are pinned by tests/schedule_permutation.rs)
-                                std::thread::sleep(jitter);
-                            }
-                            if tx.send(trace).is_err() {
-                                // Replay side dropped (panic unwinding):
-                                // stop tracing.
-                                break 'tiles;
-                            }
-                        }
-                    }
-                    owned
-                }));
-            }
-
-            // Serial replay, tile-major, SC ascending: identical L2 /
-            // DRAM request order to the serial reference path.
-            for (ti, leg) in legs.iter().enumerate() {
-                durations.fetch.push(leg.fetch);
-                durations.raster.push(leg.raster);
-                let mut rec = leg.rec;
-                let mut ez = [0u64; 4];
-                let mut frag = [0u64; 4];
-                let mut blend = [0u64; 4];
-                for (sc, rx) in rxs.iter().enumerate() {
-                    // lint: allow(no-panic) -- a worker sends one trace per (tile, sc) or the scope propagates its panic first
-                    let trace = rx.recv().expect("lane worker feeds every tile");
-                    // Replay-order checker: the shared levels must see
-                    // the identical tile-major, SC-ascending request
-                    // order as the serial path, no matter how the
-                    // workers' completions interleave.
-                    debug_assert_eq!(
-                        trace.origin,
-                        (ti, sc),
-                        "replay order violated: lane {sc} delivered tile {} while replay \
-                         expected tile {ti}",
-                        trace.origin.0,
-                    );
-                    let before = probe.enabled().then(|| shared.counters());
-                    let latencies = shared.replay_demand(&trace.requests);
-                    if let Some(before) = before {
-                        let delta = shared.counters().since(&before);
-                        probe.record(Event::Mem(mem_sample(ti, sc, &trace, delta)));
-                    }
-                    let (cycles, stats) = core.time_subtile(&trace, l1_latency, &latencies);
-                    let shaded = (leg.sc[sc].1 - leg.sc[sc].0) as usize;
-                    rec.quads_shaded[sc] = shaded as u32;
-                    rec.frag_cycles[sc] = cycles;
-                    *shader_total += stats;
-                    ez[sc] = u64::from(rec.quads_rasterized[sc]);
-                    frag[sc] = cycles;
-                    blend[sc] = shaded as u64 + u64::from(config.flush_cycles_per_bank);
-                }
-                durations.early_z.push(ez);
-                durations.fragment.push(frag);
-                durations.blend.push(blend);
-                tiles.push(rec);
-            }
-
-            for handle in handles {
-                // lint: allow(no-panic) -- re-raises a lane worker panic on the coordinating thread (caught upstream by the sweep engine)
-                for (sc, lane) in handle.join().expect("lane worker panicked") {
-                    rejoined[sc] = Some(lane);
-                }
-            }
-        });
-
-        TextureHierarchy::join(
-            hcfg,
-            rejoined
-                .into_iter()
-                // lint: allow(no-panic) -- the join loop above rejoined every SC index
-                .map(|l| l.expect("every lane returned"))
-                .collect(),
-            shared,
-        )
     }
 }
 
@@ -706,14 +521,10 @@ fn span(r: (u32, u32)) -> std::ops::Range<usize> {
     r.0 as usize..r.1 as usize
 }
 
-/// Subtile execution over prefix indices with optional memory probing.
-///
-/// With a disabled probe this is the trace → replay → time split of
-/// [`ShaderCore::run_subtile`] (pinned bit-identical to the fused path
-/// by the shade-stage tests) fed from the cached footprints. When
-/// probing, the shared-level replay is bracketed with
-/// [`TextureHierarchy::shared_counters`] snapshots so L2/DRAM traffic
-/// is attributed to this (tile, SC) subtile.
+/// Run one subtile over prefix indices. When probing, the walk is
+/// bracketed with [`TextureHierarchy::shared_counters`] snapshots so its
+/// L2/DRAM traffic (prefetches included) is attributed to this
+/// (tile, SC) subtile; the L1 counts are the walk's demand accesses.
 fn run_subtile_cached<P: Probe>(
     prefix: &FramePrefix,
     core: &ShaderCore,
@@ -723,40 +534,26 @@ fn run_subtile_cached<P: Probe>(
     hierarchy: &mut TextureHierarchy,
     probe: &mut P,
 ) -> (u64, ShaderCoreStats) {
-    if !probe.enabled() {
-        // No per-subtile memory sample to assemble: take the fused
-        // access-by-access walk (same request order, no trace buffers).
-        return core.run_subtile_fused(sc, prefix.prepared(indices), hierarchy);
+    let before = probe.enabled().then(|| hierarchy.shared_counters());
+    let (cycles, stats, l1_misses) = core.run_prepared(sc, prefix.prepared(indices), hierarchy);
+    if let Some(before) = before {
+        let delta = hierarchy.shared_counters().since(&before);
+        probe.record(Event::Mem(MemSample {
+            tile: tile as u32,
+            sc: sc as u8,
+            l1_hits: stats.line_accesses - l1_misses,
+            l1_misses,
+            l2_hits: delta.l2_hits,
+            l2_misses: delta.l2_misses,
+            dram_requests: delta.dram_requests,
+            dram_spikes: delta.dram_spikes,
+        }));
     }
-    let before = hierarchy.shared_counters();
-    let lane = hierarchy.lane_mut(sc);
-    let l1_latency = lane.l1_latency();
-    let trace = core.trace_prepared(prefix.prepared(indices), lane);
-    let latencies = hierarchy.replay_demand(&trace.requests);
-    let delta = hierarchy.shared_counters().since(&before);
-    probe.record(Event::Mem(mem_sample(tile, sc, &trace, delta)));
-    core.time_subtile(&trace, l1_latency, &latencies)
-}
-
-/// Build one fragment-subtile memory sample: L1 counts from the lane
-/// trace, shared-level counts from the replay-window counter delta
-/// (which includes the trace's prefetch requests — they replay in the
-/// same window).
-fn mem_sample(tile: usize, sc: usize, trace: &SubtileTrace, delta: MemCounters) -> MemSample {
-    MemSample {
-        tile: tile as u32,
-        sc: sc as u8,
-        l1_hits: trace.l1_hits(),
-        l1_misses: trace.l1_misses(),
-        l2_hits: delta.l2_hits,
-        l2_misses: delta.l2_misses,
-        dram_requests: delta.dram_requests,
-        dram_spikes: delta.dram_spikes,
-    }
+    (cycles, stats)
 }
 
 /// Per-tile output of the leg's partition pass: everything the
-/// fragment stage needs, independent of execution mode. The survivor
+/// fragment stage needs. The survivor
 /// quads themselves live in the (schedule-independent) prefix arenas;
 /// this only holds index ranges into the leg's flat `sc_idx` arena.
 #[derive(Debug, Clone, Copy)]
@@ -849,7 +646,7 @@ mod tests {
         // Without prefetch the L2 only ever sees footprint lines, and
         // every footprint line is a compulsory miss in some lane, so
         // the count is fixed by the prefix alone — however it is
-        // tracked, on any schedule, thread count or L1 arrangement.
+        // tracked, on any schedule or L1 arrangement.
         let scene = Game::CandyCrush.scene(&SceneSpec::new(100, 50, 0));
         for upper_bound in [false, true] {
             let build = PipelineConfig {
@@ -861,16 +658,13 @@ mod tests {
             let footprint: std::collections::BTreeSet<_> = prefix.lines.iter().collect();
             assert!(footprint.len() > 100, "frame must touch texture");
             for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
-                for threads in [1, 4] {
-                    let config = PipelineConfig { threads, ..build };
-                    let r = FrameSim::try_run_prefixed(&prefix, &schedule, &config).unwrap();
-                    assert_eq!(
-                        r.hierarchy.distinct_lines,
-                        footprint.len() as u64,
-                        "upper_bound {upper_bound}, {}, threads {threads}",
-                        schedule.label()
-                    );
-                }
+                let r = FrameSim::try_run_prefixed(&prefix, &schedule, &build).unwrap();
+                assert_eq!(
+                    r.hierarchy.distinct_lines,
+                    footprint.len() as u64,
+                    "upper_bound {upper_bound}, {}",
+                    schedule.label()
+                );
             }
         }
     }
@@ -1023,30 +817,6 @@ mod tests {
         // bump the cache's own access stat, so the sum is a lower bound.
         let l1: u64 = mem.iter().map(|m| m.l1_hits + m.l1_misses).sum();
         assert!(l1 > 0 && l1 <= probed.hierarchy.l1_accesses());
-    }
-
-    #[test]
-    fn probed_event_stream_is_thread_invariant() {
-        use dtexl_obs::EventSink;
-        let scene = Game::CandyCrush.scene(&SceneSpec::new(100, 50, 0));
-        let sched = ScheduleConfig::dtexl();
-        let streams: Vec<Vec<Event>> = [1usize, 4]
-            .into_iter()
-            .map(|threads| {
-                let cfg = PipelineConfig {
-                    threads,
-                    ..PipelineConfig::default()
-                };
-                let mut sink = EventSink::new();
-                FrameSim::try_run_probed(&scene, &sched, &cfg, 100, 50, &mut sink)
-                    .expect("valid inputs");
-                sink.to_vec()
-            })
-            .collect();
-        assert_eq!(
-            streams[0], streams[1],
-            "events bit-identical across threads"
-        );
     }
 
     #[test]

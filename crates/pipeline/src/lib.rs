@@ -71,7 +71,7 @@ pub use prefix::FramePrefix;
 pub use prim::{Quad, RasterPrim};
 pub use raster::{Rasterizer, TileRasterStats};
 pub use render::{Image, Renderer};
-pub use shade::{PreparedQuad, ShaderCore, ShaderCoreStats, SubtileTrace};
+pub use shade::{ShaderCore, ShaderCoreStats};
 pub use tiling::{TileBins, TilingEngine, TilingStats};
 pub use timing::{compose_frame, compose_frame_probed, StageDurations};
 pub use zbuffer::ZBuffer;

@@ -83,9 +83,8 @@ pub(crate) struct TilePrefix {
 /// the same (scene, resolution, config) triple.
 #[derive(Debug)]
 pub struct FramePrefix {
-    /// The configuration the prefix was built under, with `threads`
-    /// normalized to 1 — thread count is metric-invariant, so legs may
-    /// differ in it; everything else must match exactly.
+    /// The configuration the prefix was built under; every leg run
+    /// over it must use exactly this configuration.
     pub(crate) config: PipelineConfig,
     /// Screen width in pixels.
     pub(crate) width: u32,
@@ -235,11 +234,9 @@ impl FramePrefix {
         quads.shrink_to_fit();
         lines.shrink_to_fit();
 
-        let mut config = *config;
-        config.threads = 1;
         let (tiles_w, tiles_h) = (bins.tiles_w(), bins.tiles_h());
         Ok(Self {
-            config,
+            config: *config,
             width,
             height,
             textures,
@@ -279,7 +276,7 @@ impl FramePrefix {
     }
 
     /// Iterate `indices` (into the survivor arena) as
-    /// [`PreparedQuad`]s for [`crate::ShaderCore::trace_prepared`].
+    /// [`PreparedQuad`]s for [`crate::ShaderCore::run_prepared`].
     pub(crate) fn prepared<'a>(
         &'a self,
         indices: &'a [u32],

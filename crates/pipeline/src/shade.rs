@@ -1,21 +1,14 @@
 //! The shader-core (fragment stage) timing model.
 //!
-//! The model is split into two halves so the fragment stage can run
-//! one thread per shader core:
-//!
-//! * [`ShaderCore::trace_subtile`] simulates a subtile against *only*
-//!   the core's private [`L1Lane`], recording the shared-L2 request
-//!   stream and per-access hit flags — no shared state touched;
-//! * [`ShaderCore::time_subtile`] replays the trace through the warp
-//!   timing model once the shared L2 has produced the demand latencies.
-//!
-//! [`ShaderCore::run_subtile`] composes the two against a full
-//! [`TextureHierarchy`] and is bit-identical to simulating the subtile
-//! access-by-access: within a subtile only one core touches the
-//! hierarchy, so deferring the L2 replay reorders nothing.
+//! A subtile runs as one walk: each quad's texture lines go through the
+//! [`TextureHierarchy`] access by access (private L1, then the shared
+//! L2 and DRAM on a miss), and each line's latency is charged to the
+//! warp model as it comes back. The frame's fragment stage walks its
+//! subtiles tile-major, SC-ascending, so the shared levels see one
+//! fixed request order.
 
 use crate::prim::Quad;
-use dtexl_mem::{L1Lane, L2Request, LineAddr, TextureHierarchy};
+use dtexl_mem::{LineAddr, TextureHierarchy};
 use dtexl_texture::{Sampler, TextureDesc};
 
 /// Per-run statistics of a shader core.
@@ -62,76 +55,25 @@ impl std::ops::AddAssign for ShaderCoreStats {
     }
 }
 
-/// Per-quad metadata the timing replay needs (the functional pass
-/// already resolved the texture footprint).
-#[derive(Debug, Clone, Copy)]
-struct QuadTiming {
-    /// Issue-port cycles the warp occupies.
-    issue: u64,
-    /// Dependent texture-sample groups the line accesses fold into.
-    samples: usize,
-    /// Number of line accesses the quad performed.
-    accesses: usize,
-}
-
 /// One quad's pre-resolved shading input for
-/// [`ShaderCore::trace_prepared`]: the shader-profile scalars plus the
+/// [`ShaderCore::run_prepared`]: the shader-profile scalars plus the
 /// quad's texture footprint, already computed (and cached) by the
 /// schedule-independent frame prefix.
 #[derive(Debug, Clone, Copy)]
-pub struct PreparedQuad<'a> {
+pub(crate) struct PreparedQuad<'a> {
     /// Issue-port slots the warp occupies
     /// ([`ShaderProfile::issue_slots`](dtexl_scene::ShaderProfile::issue_slots)).
-    pub issue: u32,
+    pub(crate) issue: u32,
     /// ALU instructions the quad executes.
-    pub alu_ops: u32,
+    pub(crate) alu_ops: u32,
     /// Texture sample instructions per fragment.
-    pub tex_samples: u32,
+    pub(crate) tex_samples: u32,
     /// The quad's deduplicated cache-line footprint
     /// ([`Sampler::quad_footprint`]).
-    pub lines: &'a [LineAddr],
+    pub(crate) lines: &'a [LineAddr],
 }
 
-/// L1-side trace of one subtile on one shader core, produced by
-/// [`ShaderCore::trace_subtile`] and consumed by
-/// [`ShaderCore::time_subtile`].
-#[derive(Debug, Default)]
-pub struct SubtileTrace {
-    /// Shared-L2 requests in the order the serial simulator would
-    /// issue them (demand misses interleaved with their prefetches).
-    pub requests: Vec<L2Request>,
-    /// `(tile index, SC lane)` stamp set by the parallel fragment
-    /// stage; the serial replay debug-asserts the stream arrives
-    /// tile-major, SC-ascending (the lock-order invariant the
-    /// schedule-permutation harness exercises).
-    pub(crate) origin: (usize, usize),
-    /// Per-line-access L1 hit flags, flat in access order.
-    hits: Vec<bool>,
-    /// Per-quad replay metadata.
-    quads: Vec<QuadTiming>,
-    /// Functional statistics (the timing fields are filled in by the
-    /// replay).
-    stats: ShaderCoreStats,
-}
-
-impl SubtileTrace {
-    /// Number of line accesses that hit the private L1 while tracing.
-    #[must_use]
-    pub fn l1_hits(&self) -> u64 {
-        self.hits.iter().filter(|&&h| h).count() as u64
-    }
-
-    /// Number of line accesses that missed the private L1 (each one
-    /// emitted a demand request into [`requests`](Self::requests)).
-    #[must_use]
-    pub fn l1_misses(&self) -> u64 {
-        self.hits.len() as u64 - self.l1_hits()
-    }
-}
-
-/// The warp slots and issue port of one subtile batch — the warp model
-/// both fragment paths ([`ShaderCore::time_subtile`] and
-/// [`ShaderCore::run_subtile_fused`]) share.
+/// The warp slots and issue port of one subtile batch.
 struct Warps {
     /// Cycle at which each warp slot frees up.
     slot_free: Vec<u64>,
@@ -228,7 +170,8 @@ impl ShaderCore {
 
     /// Execute one subtile's quads on core `sc`, accessing textures
     /// through `hierarchy`. `textures[id]` must be the descriptor for
-    /// texture `id`.
+    /// texture `id`. Resolves each quad's footprint, then runs the same
+    /// walk as the frame simulator's fragment stage.
     ///
     /// Returns `(cycles, stats)` for the batch.
     ///
@@ -242,154 +185,49 @@ impl ShaderCore {
         textures: &[TextureDesc],
         hierarchy: &mut TextureHierarchy,
     ) -> (u64, ShaderCoreStats) {
-        let lane = hierarchy.lane_mut(sc);
-        let l1_latency = lane.l1_latency();
-        let trace = self.trace_subtile(quads, textures, lane);
-        let latencies = hierarchy.replay_demand(&trace.requests);
-        self.time_subtile(&trace, l1_latency, &latencies)
-    }
-
-    /// Simulate one subtile's quads against the core's private L1 only,
-    /// recording the shared-L2 request stream. Safe to run concurrently
-    /// with other lanes: no shared hierarchy state is touched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a quad references a texture not present in `textures`.
-    pub fn trace_subtile(
-        &self,
-        quads: &[Quad],
-        textures: &[TextureDesc],
-        lane: &mut L1Lane,
-    ) -> SubtileTrace {
-        let mut trace = SubtileTrace::default();
-        let mut lines: Vec<LineAddr> = Vec::with_capacity(16);
+        let mut lines: Vec<LineAddr> = Vec::new();
+        let mut ends = Vec::with_capacity(quads.len());
         for quad in quads {
             let tex = &textures[quad.texture as usize];
             debug_assert_eq!(tex.id(), quad.texture, "texture table must be id-indexed");
-            let sampler = Sampler::new(quad.shader.filter);
-            lines.clear();
-            sampler.quad_footprint_into(tex, quad.uv, &mut lines);
-            Self::trace_quad(
-                &mut trace,
-                lane,
-                PreparedQuad {
-                    issue: quad.shader.issue_slots(),
-                    alu_ops: quad.shader.alu_ops,
-                    tex_samples: quad.shader.tex_samples,
-                    lines: &lines,
-                },
-            );
+            Sampler::new(quad.shader.filter).quad_footprint_into(tex, quad.uv, &mut lines);
+            ends.push(lines.len());
         }
-        trace
-    }
-
-    /// Like [`trace_subtile`](Self::trace_subtile), but consuming quads
-    /// whose texture footprints were already resolved (the cached frame
-    /// prefix). Bit-identical to tracing the original quads: the
-    /// footprint is a pure function of the quad's UVs, texture and
-    /// filter, and the L1 walk below is the same code path.
-    pub fn trace_prepared<'a, I>(&self, quads: I, lane: &mut L1Lane) -> SubtileTrace
-    where
-        I: IntoIterator<Item = PreparedQuad<'a>>,
-    {
-        let mut trace = SubtileTrace::default();
-        for quad in quads {
-            Self::trace_quad(&mut trace, lane, quad);
-        }
-        trace
-    }
-
-    /// Walk one quad's footprint through the private L1 and append its
-    /// replay metadata — the shared inner loop of
-    /// [`trace_subtile`](Self::trace_subtile) and
-    /// [`trace_prepared`](Self::trace_prepared).
-    fn trace_quad(trace: &mut SubtileTrace, lane: &mut L1Lane, quad: PreparedQuad<'_>) {
-        for &line in quad.lines {
-            let hit = lane.access(line, &mut trace.requests);
-            trace.hits.push(hit);
-        }
-        trace.quads.push(QuadTiming {
-            issue: u64::from(quad.issue),
-            samples: quad.tex_samples.max(1) as usize,
-            accesses: quad.lines.len(),
+        let prepared = quads.iter().zip(&ends).scan(0, |start, (quad, &end)| {
+            let lines = &lines[*start..end];
+            *start = end;
+            Some(PreparedQuad {
+                issue: quad.shader.issue_slots(),
+                alu_ops: quad.shader.alu_ops,
+                tex_samples: quad.shader.tex_samples,
+                lines,
+            })
         });
-        trace.stats.quads += 1;
-        trace.stats.alu_ops += u64::from(quad.alu_ops);
-        trace.stats.tex_instructions += u64::from(quad.tex_samples);
-        trace.stats.line_accesses += quad.lines.len() as u64;
+        let (cycles, stats, _) = self.run_prepared(sc, prepared, hierarchy);
+        (cycles, stats)
     }
 
-    /// Replay a trace through the warp timing model. `demand_latencies`
-    /// holds the below-L1 latency of each L1 miss, in trace order (from
-    /// [`dtexl_mem::SharedL2::replay_demand`]); `l1_latency` is the
-    /// lane's hit latency.
+    /// Execute one subtile of pre-resolved quads on core `sc`: every
+    /// line goes through [`TextureHierarchy::access`] and its latency is
+    /// charged to the warp model inline.
     ///
-    /// Returns `(cycles, stats)` for the batch, exactly as the fused
-    /// access-by-access simulation would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `demand_latencies` is shorter than the trace's miss
-    /// count.
-    pub fn time_subtile(
-        &self,
-        trace: &SubtileTrace,
-        l1_latency: u32,
-        demand_latencies: &[u32],
-    ) -> (u64, ShaderCoreStats) {
-        let mut warps = Warps::new(self.warp_slots);
-        let mut latencies: Vec<u32> = Vec::with_capacity(16);
-        let mut hits = trace.hits.iter();
-        let mut miss_idx = 0usize;
-        for quad in &trace.quads {
-            latencies.clear();
-            let mut misses = 0u64;
-            for &hit in hits.by_ref().take(quad.accesses) {
-                let mut latency = l1_latency;
-                if !hit {
-                    latency += demand_latencies[miss_idx];
-                    miss_idx += 1;
-                    misses += 1;
-                }
-                latencies.push(latency);
-            }
-            warps.dispatch(
-                quad.issue + misses * u64::from(self.miss_fill_cycles),
-                sample_stall(&latencies, quad.samples),
-            );
-        }
-        debug_assert_eq!(
-            miss_idx,
-            demand_latencies.len(),
-            "one replay latency per demand miss"
-        );
-        let mut stats = trace.stats;
-        (warps.finish(&mut stats), stats)
-    }
-
-    /// Fused serial form of [`trace_prepared`](Self::trace_prepared) →
-    /// [`SharedL2::replay_demand`](dtexl_mem::SharedL2::replay_demand) →
-    /// [`time_subtile`](Self::time_subtile), for the single-threaded
-    /// fragment stage: every access goes through
-    /// [`TextureHierarchy::access`] (a replay window of one, so the
-    /// L2/DRAM see the identical request order and indices) and its
-    /// latency is charged to the warp model inline. Bit-identical to
-    /// the decoupled three-pass pipeline — the parallel-equivalence
-    /// suite pins that — while skipping the trace and latency buffers
-    /// entirely.
-    pub fn run_subtile_fused<'a, I>(
+    /// Returns `(cycles, stats, l1_misses)` for the batch, where
+    /// `l1_misses` counts the demand accesses that missed the core's
+    /// L1 (each one also occupies the fill port). The L1's own
+    /// statistics cannot give this count: they include prefetch fills.
+    pub(crate) fn run_prepared<'a, I>(
         &self,
         sc: usize,
         quads: I,
         hierarchy: &mut TextureHierarchy,
-    ) -> (u64, ShaderCoreStats)
+    ) -> (u64, ShaderCoreStats, u64)
     where
         I: IntoIterator<Item = PreparedQuad<'a>>,
     {
         let mut warps = Warps::new(self.warp_slots);
         let mut latencies: Vec<u32> = Vec::with_capacity(16);
         let mut stats = ShaderCoreStats::default();
+        let mut l1_misses = 0u64;
         for quad in quads {
             latencies.clear();
             let mut misses = 0u64;
@@ -402,12 +240,13 @@ impl ShaderCore {
                 u64::from(quad.issue) + misses * u64::from(self.miss_fill_cycles),
                 sample_stall(&latencies, quad.tex_samples.max(1) as usize),
             );
+            l1_misses += misses;
             stats.quads += 1;
             stats.alu_ops += u64::from(quad.alu_ops);
             stats.tex_instructions += u64::from(quad.tex_samples);
             stats.line_accesses += quad.lines.len() as u64;
         }
-        (warps.finish(&mut stats), stats)
+        (warps.finish(&mut stats), stats, l1_misses)
     }
 }
 
@@ -561,31 +400,6 @@ mod tests {
             big.occupancy()
         );
         assert!(big.occupancy() <= 1.0 && small.occupancy() > 0.0);
-    }
-
-    #[test]
-    fn manual_trace_replay_matches_run_subtile() {
-        // Drive the split API the way the parallel frame loop does —
-        // trace on a detached lane, replay into the shared L2, time —
-        // and compare to the fused entry point.
-        let tex = textures();
-        let core = ShaderCore::new(8, 10);
-        let quads: Vec<Quad> = (0..48)
-            .map(|i| quad_at((i % 12) * 3, (i / 12) * 5))
-            .collect();
-
-        let mut fused = hierarchy();
-        let (want_cycles, want_stats) = core.run_subtile(2, &quads, &tex, &mut fused);
-
-        let (cfg, mut lanes, mut shared) = hierarchy().split();
-        let l1_latency = lanes[2].l1_latency();
-        let trace = core.trace_subtile(&quads, &tex, &mut lanes[2]);
-        let latencies = shared.replay_demand(&trace.requests);
-        let (cycles, stats) = core.time_subtile(&trace, l1_latency, &latencies);
-        assert_eq!(cycles, want_cycles);
-        assert_eq!(stats, want_stats);
-        let split = dtexl_mem::TextureHierarchy::join(cfg, lanes, shared);
-        assert_eq!(split.stats(), fused.stats());
     }
 
     #[test]

@@ -187,8 +187,8 @@ pub const ALLOWLIST: &[BuiltinAllow] = &[
         path_suffix: "crates/pipeline/src/frame.rs",
         rule: "determinism-clock",
         needle: "thread::sleep",
-        reason: "fault-injection wall stall and schedule-permutation jitter: both shift wall \
-                 time only and never touch simulated state (pinned by tests/schedule_permutation.rs)",
+        reason: "fault-injection wall stall: shifts wall time only and never touches \
+                 simulated state",
     },
     BuiltinAllow {
         path_suffix: "crates/core/src/dispatch.rs",
@@ -197,7 +197,7 @@ pub const ALLOWLIST: &[BuiltinAllow] = &[
         reason: "fleet supervisor: wedge timers and restart backoff schedule real child \
                  processes; simulated results come from the children's journals and are \
                  bit-identical regardless of supervision timing \
-                 (pinned by tests/dispatch_resilience.rs)",
+                 (pinned by crates/cli/tests/dispatch_resilience.rs)",
     },
     BuiltinAllow {
         path_suffix: "crates/core/src/dispatch.rs",

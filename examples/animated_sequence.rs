@@ -25,8 +25,8 @@ fn main() {
     let dtexl_cfg = SimConfig::dtexl(game).with_resolution(980, 384);
 
     println!("Simulating {frames} frames of {}…\n", game.alias());
-    let base = Simulator::simulate_sequence(&base_cfg, frames);
-    let dtexl = Simulator::simulate_sequence(&dtexl_cfg, frames);
+    let base = Simulator::simulate_sequence(&base_cfg, frames, 1);
+    let dtexl = Simulator::simulate_sequence(&dtexl_cfg, frames, 1);
 
     println!(
         "{:>6} {:>12} {:>12} {:>9}",

@@ -2,6 +2,7 @@
 //! → raster → shading → metrics, exercised end to end.
 
 use dtexl::{SimConfig, Simulator};
+use dtexl_alloc::{meter_current_thread, AllocMeter};
 use dtexl_pipeline::{BarrierMode, FrameSim, PipelineConfig};
 use dtexl_scene::{Game, Scene, SceneSpec};
 use dtexl_sched::{NamedMapping, ScheduleConfig};
@@ -165,5 +166,64 @@ fn barrier_modes_share_functional_results() {
     assert_eq!(
         r.energy_events(BarrierMode::Coupled).l2_accesses,
         r.energy_events(BarrierMode::Decoupled).l2_accesses
+    );
+}
+
+#[test]
+fn fragment_stage_does_not_allocate_per_quad() {
+    // The early-Z survivor path used to clone every surviving `Quad`
+    // into per-SC re-merge buffers; on the densest game (CandyCrush,
+    // ~150k survivors at 480×192) the frame's high-water mark measured
+    // 15_450_568 bytes before the fix. The prepared-quad arena path
+    // reuses flat index buffers and measures ~12.0 MB despite now
+    // retaining the whole schedule-independent prefix for the frame.
+    // 14 MB splits the two: far above normal jitter, well below the
+    // per-quad-clone cost coming back.
+    let scene = Game::CandyCrush.scene(&SceneSpec::new(480, 192, 0));
+    let meter = AllocMeter::new();
+    let guard = meter_current_thread(&meter);
+    let r = FrameSim::run_with_resolution(
+        &scene,
+        &ScheduleConfig::dtexl(),
+        &PipelineConfig::default(),
+        480,
+        192,
+    );
+    drop(guard);
+    assert!(r.total_l2_accesses() > 0, "frame must have run");
+    assert!(
+        meter.peak_bytes() < 14_000_000,
+        "fragment-stage peak allocation regressed: {} bytes",
+        meter.peak_bytes()
+    );
+}
+
+#[test]
+fn edge_tiles_flush_only_their_screen_intersection() {
+    // 100×50 with 32-pixel tiles: 4×2 tile grid covering 128×64 pixels.
+    // Flushed color traffic must charge the 100×50 screen area only —
+    // 4 bytes per pixel rounded up to 64-byte lines *per tile*, not the
+    // full 128×64 the tile grid spans.
+    let scene = Game::GravityTetris.scene(&SceneSpec::new(100, 50, 0));
+    let r = FrameSim::run_with_resolution(
+        &scene,
+        &ScheduleConfig::baseline(),
+        &PipelineConfig::default(),
+        100,
+        50,
+    );
+    let mut expected = 0u64;
+    for ty in 0..2u64 {
+        for tx in 0..4u64 {
+            let w = 32.min(100 - tx * 32);
+            let h = 32.min(50 - ty * 32);
+            expected += (w * h * 4).div_ceil(64);
+        }
+    }
+    assert_eq!(r.framebuffer_lines(), expected);
+    let full_tiles = 8 * (32u64 * 32 * 4).div_ceil(64);
+    assert!(
+        r.framebuffer_lines() < full_tiles,
+        "partial edge tiles must not be charged full-tile flushes"
     );
 }

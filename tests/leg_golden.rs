@@ -4,11 +4,9 @@
 //! statistics (distinct lines included), shader-core statistics,
 //! per-tile fragment cycles and the frame totals under both barrier
 //! modes — folded into one FNV-1a digest per (game, hierarchy mode)
-//! over the nine distinct `dtexl list` presets at 96×64. The serial
-//! (`threads` 1) and the parallel (`threads` 4) fragment paths must
-//! both reproduce each digest, so this pins the cache lookup, the
-//! replacement policies, the L1 → L2 request order under next-line
-//! prefetch and the shared warp model on both paths. The default
+//! over the nine distinct `dtexl list` presets at 96×64. This pins the
+//! cache lookup, the replacement policies, the L1 → L2 request order
+//! under next-line prefetch and the warp model. The default
 //! configuration is also covered by the benchmark's reference; the
 //! prefetch, upper-bound and non-LRU modes are pinned only here.
 
@@ -69,11 +67,10 @@ fn presets() -> Vec<ScheduleConfig> {
     presets
 }
 
-fn digest(game: Game, mode: (&str, bool, bool, ReplacementKind), threads: usize) -> u64 {
+fn digest(game: Game, mode: (&str, bool, bool, ReplacementKind)) -> u64 {
     let (_, prefetch_next_line, upper_bound, replacement) = mode;
     let mut config = PipelineConfig {
         upper_bound,
-        threads,
         ..PipelineConfig::default()
     };
     config.hierarchy.prefetch_next_line = prefetch_next_line;
@@ -96,16 +93,14 @@ fn digest(game: Game, mode: (&str, bool, bool, ReplacementKind), threads: usize)
 }
 
 #[test]
-fn fragment_leg_digests_are_golden_on_both_paths() {
-    for threads in [1, 4] {
-        let got: Vec<(&str, &str, u64)> = GAMES
-            .iter()
-            .flat_map(|&game| {
-                MODES
-                    .iter()
-                    .map(move |&mode| (game.alias(), mode.0, digest(game, mode, threads)))
-            })
-            .collect();
-        assert_eq!(got, GOLDEN, "threads {threads}");
-    }
+fn fragment_leg_digests_are_golden() {
+    let got: Vec<(&str, &str, u64)> = GAMES
+        .iter()
+        .flat_map(|&game| {
+            MODES
+                .iter()
+                .map(move |&mode| (game.alias(), mode.0, digest(game, mode)))
+        })
+        .collect();
+    assert_eq!(got, GOLDEN);
 }

@@ -70,29 +70,6 @@ fn memoized_matches_fresh_across_schedules_and_resolutions() {
 }
 
 #[test]
-fn memoized_matches_fresh_across_thread_counts() {
-    // Thread count is normalized out of the prefix key: a serial and a
-    // 4-thread job share the cache entry, and both match their fresh
-    // runs (which exercise the threaded lane path independently).
-    let cache = PrefixCache::new(None);
-    for threads in [1, 4] {
-        for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
-            let mut j = job(Game::CandyCrush, schedule, 100, 50);
-            j.pipeline = PipelineConfig {
-                threads,
-                ..j.pipeline
-            };
-            assert_equivalent(&j, &cache);
-        }
-    }
-    assert_eq!(
-        cache.stats().misses,
-        1,
-        "threads {{1,4}} × both schedules must share one prefix"
-    );
-}
-
-#[test]
 fn memoized_matches_fresh_with_active_fault_plan() {
     let fault = FaultPlan {
         seed: 7,

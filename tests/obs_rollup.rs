@@ -3,8 +3,7 @@
 //!
 //! The `ObsRollup` a `--with-obs` sweep journals per job folds the
 //! exact event stream tests/obs_determinism.rs pins — so it must be
-//! bit-identical across worker thread counts, schedules and memoized
-//! vs fresh execution, must survive the journal's merge/resume union
+//! bit-identical between memoized and fresh execution, must survive the journal's merge/resume union
 //! verbatim, and must stay invisible to `sweep canon`. The golden diff
 //! table re-uses the GTr 96x64 stall goldens of obs_determinism.rs:
 //! re-baseline the two files together.
@@ -16,7 +15,6 @@ use dtexl::sweep::{
     SweepOptions,
 };
 use dtexl::SimConfig;
-use dtexl_pipeline::PipelineConfig;
 use dtexl_scene::Game;
 use dtexl_sched::ScheduleConfig;
 use std::path::PathBuf;
@@ -28,52 +26,32 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn job_with_threads(game: Game, schedule: ScheduleConfig, threads: usize) -> SweepJob {
-    let mut job = SweepJob::new(game, schedule, false, 100, 50, 0);
-    job.pipeline = PipelineConfig {
-        threads,
-        ..PipelineConfig::default()
-    };
-    job
-}
-
-/// The rollup is a pure function of the job: thread count, memoization
-/// and cache temperature (cold build vs warm hit) must all produce the
-/// same bits. 100x50 is ragged in both axes, so the subtile split —
-/// the part worker threads actually race over — is maximally
-/// irregular.
+/// The rollup is a pure function of the job: memoization and cache
+/// temperature (cold build vs warm hit) must produce the same bits as
+/// a fresh run. 100x50 is ragged in both axes, so the subtile split is
+/// maximally irregular.
 #[test]
-fn rollup_is_bit_identical_across_threads_schedules_and_memoization() {
+fn rollup_is_bit_identical_across_schedules_and_memoization() {
     for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
-        let reference = job_with_threads(Game::CandyCrush, schedule, 1)
-            .simulate_rollup(None)
-            .expect("valid job")
-            .1;
+        let job = SweepJob::new(Game::CandyCrush, schedule, false, 100, 50, 0);
+        let (_, fresh) = job.simulate_rollup(None).expect("valid job");
         assert_ne!(
-            reference,
+            fresh,
             ObsRollup::default(),
             "probes recorded nothing under {}",
             schedule.label()
         );
-        for threads in [1, 4] {
-            let job = job_with_threads(Game::CandyCrush, schedule, threads);
-            let (_, fresh) = job.simulate_rollup(None).expect("valid job");
-            let cache = PrefixCache::new(None);
-            let (_, cold) = job.simulate_rollup(Some(&cache)).expect("valid job");
-            let (_, warm) = job.simulate_rollup(Some(&cache)).expect("valid job");
-            assert_eq!(cache.stats().hits, 1, "second memoized run must hit");
-            for (label, rollup) in [
-                ("fresh", fresh),
-                ("memoized-cold", cold),
-                ("memoized-warm", warm),
-            ] {
-                assert_eq!(
-                    rollup,
-                    reference,
-                    "{label} rollup diverges at {threads} threads under {}",
-                    schedule.label()
-                );
-            }
+        let cache = PrefixCache::new(None);
+        let (_, cold) = job.simulate_rollup(Some(&cache)).expect("valid job");
+        let (_, warm) = job.simulate_rollup(Some(&cache)).expect("valid job");
+        assert_eq!(cache.stats().hits, 1, "second memoized run must hit");
+        for (label, rollup) in [("memoized-cold", cold), ("memoized-warm", warm)] {
+            assert_eq!(
+                rollup,
+                fresh,
+                "{label} rollup diverges under {}",
+                schedule.label()
+            );
         }
     }
 }
