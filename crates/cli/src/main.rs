@@ -60,8 +60,9 @@
 //! interval and `--heartbeat-ms 0` disables heartbeats (other events
 //! still flow). `--stall-key SUBSTR --stall-ms N` injects a wall-clock
 //! stall into every job whose key contains the substring — a
-//! supervision test hook (the stall is part of the jobs' fault plans,
-//! so it changes their config hashes).
+//! supervision test hook honoured by `sweep` and `sweep --spool` alike
+//! (the stall is part of the jobs' fault plans, so it changes their
+//! config hashes).
 //! `sweep --memoize` shares the schedule-independent frame prefix
 //! (geometry, binning, raster, early-Z, texture footprints) across the
 //! jobs that differ only in schedule — metrics are bit-identical with
@@ -89,22 +90,25 @@
 //! live capture) or `PATH[@MODE]` (an exported rollup file, mode
 //! defaulting to coupled).
 //!
-//! `sweep dispatch` runs the sweep as a self-healing fleet of child
-//! processes — one `dtexl sweep --shard i/N` per shard, each resuming
-//! its own journal — under a supervisor that tails their progress
-//! streams, kills and restarts wedged shards (`--wedge-timeout`),
-//! restarts crashed/OOM-killed ones with exponential backoff
-//! (`--restart-backoff-ms`, capped by `--max-restarts`), quarantines
-//! jobs blamed for `--poison-threshold` shard deaths as typed
-//! `poisoned` journal records, enforces `--shard-mem-limit` at the
-//! process boundary (cgroup-v2 `memory.max` when writable, else
-//! polled RSS), and finally merges the shard journals into `--out`.
-//! Children always run `--keep-going`: a self-healing fleet attempts
-//! every job. `--threads` here sets each *child's* worker count
-//! (default 1, so a death blames exactly the in-flight job).
+//! `sweep daemon` runs the sweep as a self-healing fleet of child
+//! processes — one `dtexl sweep --spool DIR --shard i/N` worker per
+//! shard, each resuming its own journal — under a supervisor that
+//! tails their progress streams, kills and restarts wedged shards
+//! (`--wedge-timeout`), restarts crashed/OOM-killed ones with
+//! exponential backoff (`--restart-backoff-ms`, capped by
+//! `--max-restarts`), quarantines jobs blamed for `--poison-threshold`
+//! shard deaths as typed `poisoned` journal records, and enforces
+//! `--shard-mem-limit` at the process boundary (cgroup-v2 `memory.max`
+//! when writable, else polled RSS). Workers always keep going: a
+//! self-healing fleet attempts every job. `--threads` here sets each
+//! *worker's* thread count (default 1, so a death blames exactly the
+//! in-flight job). `sweep dispatch` is the same daemon on a pre-armed
+//! spool in `--workdir`: its axes are submitted as one batch and
+//! accepted with the drain already requested, so the fleet drains that
+//! batch and exits, and `--out` receives a copy of the merged journal.
+//! Both commands share one parser for these flags.
 //!
-//! `sweep daemon` runs the fleet as a long-lived service over a
-//! durable *spool* directory instead of a fixed job list: `sweep
+//! The daemon runs over a durable *spool* directory: `sweep
 //! submit` atomically drops content-addressed batches of job specs
 //! into `<spool>/incoming/` (re-submitting the same batch is a
 //! reported no-op), the daemon validates and accepts them *while
@@ -137,11 +141,13 @@
 //! invalid specs or spool I/O error.
 
 use dtexl::characterize::characterize_all;
-use dtexl::daemon::{run_daemon, run_spool_worker, DaemonOptions, DaemonStatus, WorkerOptions};
-use dtexl::dispatch::{dispatch_fleet, DispatchOptions, FleetSpec};
+use dtexl::daemon::{
+    run_daemon, run_spool_worker, DaemonOptions, DaemonReport, DaemonStatus, WorkerOptions,
+};
+use dtexl::dispatch::{DispatchOptions, FleetSpec};
 use dtexl::obs::{ObsRollup, StallRollup};
 use dtexl::profile::{stall_diff_table, FrameProfile};
-use dtexl::spool::{JobSpec, Spool};
+use dtexl::spool::{jobs_from_specs, JobSpec, Spool};
 use dtexl::sweep::{
     canon_text, journal_line, json_escape, merge_journals, JobError, PrefixCache, Progress,
     RetryPolicy, Shard, SweepJob, SweepOptions,
@@ -345,86 +351,55 @@ fn games_from_csv(csv: &str) -> Result<Vec<Game>, String> {
         .collect()
 }
 
-/// Parse a `--schedules`-style CSV of schedule names.
-fn schedules_from_csv(csv: &str) -> Result<Vec<ScheduleConfig>, String> {
-    csv.split(',')
-        .map(|name| name.parse().map_err(|e| format!("{e} (try `dtexl list`)")))
-        .collect()
-}
-
-/// The sweep job axes shared by `sweep` and `sweep dispatch`: both
-/// must build the *same* job list (same keys, same config hashes) —
-/// the supervisor from its own copy, the children from the forwarded
-/// flags — or poison quarantine and coverage audits fall apart.
-struct SweepAxes {
-    games_csv: String,
-    games: Vec<Game>,
-    schedules_csv: String,
-    schedules: Vec<ScheduleConfig>,
-    width: u32,
-    height: u32,
-    frame: u32,
-    upper: bool,
-    stall_key: Option<String>,
-    stall_ms: u64,
-}
-
-impl SweepAxes {
-    fn parse(args: &mut Args) -> Result<Self, String> {
-        let games_csv = args.value("--games").unwrap_or_else(|| "all".into());
-        let schedules_csv = args
-            .value("--schedules")
-            .unwrap_or_else(|| "baseline,dtexl".into());
-        let (width, height) = parse_res(args)?;
-        let frame: u32 = args.parsed_value("--frame")?.unwrap_or(0);
-        let upper = args.flag("--upper");
-        let stall_key = args.value("--stall-key");
-        let stall_ms: u64 = args.parsed_value("--stall-ms")?.unwrap_or(0);
-        if stall_key.is_some() != (stall_ms > 0) {
-            return Err("--stall-key and --stall-ms must be given together".into());
+/// The job axes `sweep`, `sweep submit` and `sweep dispatch` share:
+/// games × schedules at one resolution, frame and pipeline mode, as
+/// spool-ready specs (so a spooled job and a direct one are the same
+/// job, key and config hash alike).
+fn parse_job_specs(args: &mut Args) -> Result<Vec<JobSpec>, String> {
+    let games = games_from_csv(&args.value("--games").unwrap_or_else(|| "all".into()))?;
+    let schedules = args
+        .value("--schedules")
+        .unwrap_or_else(|| "baseline,dtexl".into());
+    let (width, height) = parse_res(args)?;
+    let frame: u32 = args.parsed_value("--frame")?.unwrap_or(0);
+    let upper = args.flag("--upper");
+    let mut specs = Vec::new();
+    for game in games {
+        for name in schedules.split(',') {
+            specs.push(
+                JobSpec::new(game.alias(), name.trim(), width, height, frame, upper)
+                    .map_err(|e| format!("{e} (try `dtexl list`)"))?,
+            );
         }
-        Ok(Self {
-            games: games_from_csv(&games_csv)?,
-            games_csv,
-            schedules: schedules_from_csv(&schedules_csv)?,
-            schedules_csv,
-            width,
-            height,
-            frame,
-            upper,
-            stall_key,
-            stall_ms,
-        })
     }
+    Ok(specs)
+}
 
-    /// The games × schedules cross product, with the stall-injection
-    /// hook folded into matching jobs' fault plans.
-    fn jobs(&self, pipeline_base: &PipelineConfig) -> Vec<SweepJob> {
-        let mut jobs: Vec<SweepJob> = self
-            .games
-            .iter()
-            .flat_map(|&game| {
-                self.schedules.iter().map(move |&schedule| SweepJob {
-                    game,
-                    schedule,
-                    width: self.width,
-                    height: self.height,
-                    frame: self.frame,
-                    pipeline: PipelineConfig {
-                        upper_bound: self.upper,
-                        ..*pipeline_base
-                    },
-                })
-            })
-            .collect();
-        if let Some(pat) = &self.stall_key {
-            for job in &mut jobs {
-                if job.key().contains(pat.as_str()) {
-                    job.pipeline.fault.wall_stall_ms = self.stall_ms;
-                }
-            }
+/// `--stall-key SUBSTR --stall-ms N`, given together or not at all.
+fn parse_stall(args: &mut Args) -> Result<Option<(String, u64)>, String> {
+    let key = args.value("--stall-key");
+    let ms: u64 = args.parsed_value("--stall-ms")?.unwrap_or(0);
+    match key {
+        None if ms == 0 => Ok(None),
+        Some(key) if ms > 0 => Ok(Some((key, ms))),
+        _ => Err("--stall-key and --stall-ms must be given together".into()),
+    }
+}
+
+/// The stall `sweep` or `sweep --spool` was given, behind a static
+/// because `WorkerOptions::stall` takes a plain fn pointer. Set once
+/// per process in `cmd_sweep`.
+static STALL: OnceLock<(String, u64)> = OnceLock::new();
+
+/// The supervision test hook: a wall-clock stall in the fault plan of
+/// every job whose key contains the `--stall-key` substring, which
+/// changes those jobs' config hashes. Plain `sweep` and the spool
+/// worker both apply it through this one function.
+fn apply_stall(job: &mut SweepJob) {
+    if let Some((pattern, ms)) = STALL.get() {
+        if job.key().contains(pattern.as_str()) {
+            job.pipeline.fault.wall_stall_ms = *ms;
         }
-        jobs
     }
 }
 
@@ -449,12 +424,14 @@ fn cmd_sweep(args: &mut Args, format: Format) -> Result<ExitCode, String> {
     // flags), and the worker loops until the spool drains.
     let spool_dir = args.value("--spool");
     let spool_poll_ms: u64 = args.parsed_value("--spool-poll-ms")?.unwrap_or(100);
-    let axes = match &spool_dir {
+    let specs = match &spool_dir {
         Some(_) => None,
-        None => Some(SweepAxes::parse(args)?),
+        None => Some(parse_job_specs(args)?),
     };
+    if let Some(stall) = parse_stall(args)? {
+        let _ = STALL.set(stall);
+    }
     let threads = parse_threads(args)?;
-    let pipeline_base = PipelineConfig::default();
     let keep_going = args.flag("--keep-going");
     let resume = args.flag("--resume");
     let journal = args.value("--journal");
@@ -533,7 +510,7 @@ fn cmd_sweep(args: &mut Args, format: Format) -> Result<ExitCode, String> {
         signals::install();
         let spool = Spool::open(&dir).map_err(|e| format!("open spool {dir}: {e}"))?;
         let wopts = WorkerOptions {
-            pipeline: pipeline_base,
+            stall: apply_stall,
             poll: std::time::Duration::from_millis(spool_poll_ms.max(1)),
             sweep: opts,
             shutdown: signals::shutdown_requested,
@@ -557,9 +534,9 @@ fn cmd_sweep(args: &mut Args, format: Format) -> Result<ExitCode, String> {
         return Ok(ExitCode::from(report.exit_code()));
     }
 
-    let jobs = axes
-        .expect("axes are parsed whenever --spool is absent")
-        .jobs(&pipeline_base);
+    let specs = specs.expect("specs are parsed whenever --spool is absent");
+    let mut jobs = jobs_from_specs(&specs, &PipelineConfig::default());
+    jobs.iter_mut().for_each(apply_stall);
     let report = dtexl::sweep::run_sweep(&jobs, &opts, |_, _| {})
         .map_err(|e| format!("journal I/O: {e}"))?;
 
@@ -620,145 +597,175 @@ fn print_progress_to_file(p: &Progress) {
     }
 }
 
-/// `dtexl sweep dispatch`: run the sweep as a supervised fleet of
-/// child shard processes (see the module docs and
-/// `dtexl::dispatch`).
-fn cmd_sweep_dispatch(args: &mut Args, format: Format) -> Result<ExitCode, String> {
-    let axes = SweepAxes::parse(args)?;
-    // Children default to one worker thread so a shard death blames
-    // exactly the job that was in flight (`--threads` overrides).
-    let child_threads = parse_threads(args)?;
-    // Forwarded per-job fault-tolerance knobs.
-    let job_timeout: Option<u64> = args.parsed_value("--job-timeout")?;
-    let retries: u32 = args.parsed_value("--retries")?.unwrap_or(0);
-    let backoff_ms: u64 = args.parsed_value("--backoff-ms")?.unwrap_or(50);
-    let job_mem_budget_mb: Option<u64> = args.parsed_value("--job-mem-budget")?;
-    let heartbeat_ms: u64 = args.parsed_value("--heartbeat-ms")?.unwrap_or(1_000);
-    let memoize = args.flag("--memoize");
-    let memoize_budget_mb: Option<u64> = args.parsed_value("--memoize-budget")?;
-    let with_obs = args.flag("--with-obs");
-    // Supervision knobs.
-    let shards: u32 = args.parsed_value("--shards")?.unwrap_or(2);
-    if shards == 0 {
-        return Err("--shards must be >= 1".into());
-    }
-    let wedge_timeout: u64 = args.parsed_value("--wedge-timeout")?.unwrap_or(30);
-    let max_restarts: u32 = args.parsed_value("--max-restarts")?.unwrap_or(3);
-    let restart_backoff_ms: u64 = args.parsed_value("--restart-backoff-ms")?.unwrap_or(500);
-    let poison_threshold: u32 = args.parsed_value("--poison-threshold")?.unwrap_or(2);
-    if poison_threshold == 0 {
-        return Err("--poison-threshold must be >= 1".into());
-    }
-    let shard_mem_limit = args
-        .parsed_value::<u64>("--shard-mem-limit")?
-        .map(|mb| mb.saturating_mul(1024 * 1024));
-    let workdir = args.value("--workdir").map(std::path::PathBuf::from);
-    let out = args.value("--out").map(std::path::PathBuf::from);
-    let poll_ms: u64 = args.parsed_value("--poll-ms")?.unwrap_or(50);
-    args.finish()?;
-    if memoize_budget_mb.is_some() && !memoize {
-        return Err("--memoize-budget requires --memoize".into());
-    }
+/// The flags `sweep dispatch` and `sweep daemon` share: the
+/// supervision knobs, and the per-job flags forwarded to every `sweep
+/// --spool` worker.
+struct FleetFlags {
+    /// Worker arguments that follow `sweep --spool DIR`.
+    worker_args: Vec<String>,
+    shards: u32,
+    opts: DaemonOptions,
+}
 
-    // Rebuild the children's sweep arguments from the parsed values,
-    // so the supervisor's job list and the children's are provably
-    // built from the same inputs. Children always run `--keep-going`:
-    // a self-healing fleet attempts every job.
-    let mut sweep_args: Vec<String> = vec![
-        "sweep".into(),
-        "--games".into(),
-        axes.games_csv.clone(),
-        "--schedules".into(),
-        axes.schedules_csv.clone(),
-        "--res".into(),
-        format!("{}x{}", axes.width, axes.height),
-        "--frame".into(),
-        axes.frame.to_string(),
-        "--threads".into(),
-        child_threads.to_string(),
-        "--keep-going".into(),
-        "--heartbeat-ms".into(),
-        heartbeat_ms.to_string(),
-        "--backoff-ms".into(),
-        backoff_ms.to_string(),
-    ];
-    if axes.upper {
-        sweep_args.push("--upper".into());
-    }
-    if let Some(secs) = job_timeout {
-        sweep_args.push("--job-timeout".into());
-        sweep_args.push(secs.to_string());
-    }
-    if retries > 0 {
-        sweep_args.push("--retries".into());
-        sweep_args.push(retries.to_string());
-    }
-    if let Some(mb) = job_mem_budget_mb {
-        sweep_args.push("--job-mem-budget".into());
-        sweep_args.push(mb.to_string());
-    }
-    if memoize {
-        sweep_args.push("--memoize".into());
-        if let Some(mb) = memoize_budget_mb {
-            sweep_args.push("--memoize-budget".into());
-            sweep_args.push(mb.to_string());
+impl FleetFlags {
+    fn parse(args: &mut Args) -> Result<Self, String> {
+        // Per-job flags are checked here and forwarded as given; an
+        // absent one takes the worker's default, the plain sweep's.
+        // Workers default to one thread, so a shard death blames
+        // exactly the job that was in flight.
+        let mut worker_args = vec!["--threads".to_string(), parse_threads(args)?.to_string()];
+        let mut forward = |flag: &str, value: Option<String>| {
+            if let Some(value) = value {
+                worker_args.extend([flag.to_string(), value]);
+            }
+        };
+        let retries: Option<u32> = args.parsed_value("--retries")?;
+        forward("--retries", retries.map(|n| n.to_string()));
+        for flag in [
+            "--job-timeout",
+            "--backoff-ms",
+            "--job-mem-budget",
+            "--heartbeat-ms",
+            "--memoize-budget",
+        ] {
+            let value: Option<u64> = args.parsed_value(flag)?;
+            forward(flag, value.map(|v| v.to_string()));
         }
-    }
-    if let Some(key) = &axes.stall_key {
-        sweep_args.push("--stall-key".into());
-        sweep_args.push(key.clone());
-        sweep_args.push("--stall-ms".into());
-        sweep_args.push(axes.stall_ms.to_string());
-    }
-    if with_obs {
-        sweep_args.push("--with-obs".into());
+        if let Some((key, ms)) = parse_stall(args)? {
+            forward("--stall-key", Some(key));
+            forward("--stall-ms", Some(ms.to_string()));
+        }
+        let memoize = args.flag("--memoize");
+        if !memoize && worker_args.iter().any(|a| a == "--memoize-budget") {
+            return Err("--memoize-budget requires --memoize".into());
+        }
+        if memoize {
+            worker_args.push("--memoize".into());
+        }
+        if args.flag("--with-obs") {
+            worker_args.push("--with-obs".into());
+        }
+
+        let shards: u32 = args.parsed_value("--shards")?.unwrap_or(2);
+        if shards == 0 {
+            return Err("--shards must be >= 1".into());
+        }
+        let wedge_timeout: u64 = args.parsed_value("--wedge-timeout")?.unwrap_or(30);
+        let max_restarts: u32 = args.parsed_value("--max-restarts")?.unwrap_or(3);
+        let restart_backoff_ms: u64 = args.parsed_value("--restart-backoff-ms")?.unwrap_or(500);
+        let poison_threshold: u32 = args.parsed_value("--poison-threshold")?.unwrap_or(2);
+        if poison_threshold == 0 {
+            return Err("--poison-threshold must be >= 1".into());
+        }
+        let shard_mem_limit = args
+            .parsed_value::<u64>("--shard-mem-limit")?
+            .map(|mb| mb.saturating_mul(1024 * 1024));
+        let poll_ms: u64 = args.parsed_value("--poll-ms")?.unwrap_or(50);
+        Ok(Self {
+            worker_args,
+            shards,
+            opts: DaemonOptions {
+                dispatch: DispatchOptions {
+                    wedge_timeout: std::time::Duration::from_secs(wedge_timeout),
+                    max_restarts,
+                    restart_backoff: std::time::Duration::from_millis(restart_backoff_ms),
+                    poison_threshold,
+                    mem_limit: shard_mem_limit,
+                    ..DispatchOptions::default()
+                },
+                poll: std::time::Duration::from_millis(poll_ms.max(1)),
+                shutdown: signals::shutdown_requested,
+            },
+        })
     }
 
-    let pipeline_base = PipelineConfig::default();
-    let program =
-        std::env::current_exe().map_err(|e| format!("cannot locate the dtexl binary: {e}"))?;
-    let spec = FleetSpec {
-        program,
-        sweep_args,
-        jobs: axes.jobs(&pipeline_base),
-        shards,
+    /// Run the daemon over `spool` until it drains.
+    fn supervise(self, spool: &Spool, spool_poll_ms: u64) -> Result<DaemonReport, String> {
+        let program =
+            std::env::current_exe().map_err(|e| format!("cannot locate the dtexl binary: {e}"))?;
+        // The fleet appends the per-shard
+        // `--shard/--journal/--resume/--progress-to` itself.
+        let mut sweep_args: Vec<String> = vec![
+            "sweep".into(),
+            "--spool".into(),
+            spool.root().to_string_lossy().into_owned(),
+            "--spool-poll-ms".into(),
+            spool_poll_ms.to_string(),
+        ];
+        sweep_args.extend(self.worker_args);
+        let spec = FleetSpec {
+            program,
+            sweep_args,
+            shards: self.shards,
+        };
+        signals::install();
+        run_daemon(spool, spec, &self.opts).map_err(|e| format!("daemon: {e}"))
+    }
+}
+
+/// Render keys as a JSON array of strings.
+fn json_str_array(keys: &[String]) -> String {
+    let quoted: Vec<String> = keys
+        .iter()
+        .map(|k| format!("\"{}\"", json_escape(k)))
+        .collect();
+    format!("[{}]", quoted.join(","))
+}
+
+/// `dtexl sweep dispatch`: the daemon on a pre-armed spool in
+/// `--workdir`. The axes become one batch, accepted with the drain
+/// already requested, so the fleet drains exactly the spool's batches
+/// and exits; `--out` receives a copy of the merged journal.
+fn cmd_sweep_dispatch(args: &mut Args, format: Format) -> Result<ExitCode, String> {
+    let specs = parse_job_specs(args)?;
+    let fleet = FleetFlags::parse(args)?;
+    let workdir = args.value("--workdir").map_or_else(
+        || std::env::temp_dir().join(format!("dtexl-dispatch-{}", std::process::id())),
+        std::path::PathBuf::from,
+    );
+    let out = args.value("--out").map(std::path::PathBuf::from);
+    args.finish()?;
+
+    let spool =
+        Spool::open(&workdir).map_err(|e| format!("open spool {}: {e}", workdir.display()))?;
+    match spool.submit(&specs) {
+        // A re-run in an old workdir submits the same batch again; its
+        // shard journals resume.
+        Ok(_) | Err(JobError::DuplicateBatch { .. }) => {}
+        Err(e) => return Err(format!("submit: {e}")),
+    }
+    // The batch is well-formed; whatever an old workdir left in
+    // `incoming/` is accepted or quarantined along with it.
+    let _ = spool.accept_incoming();
+    spool
+        .request_drain()
+        .map_err(|e| format!("arm drain marker: {e}"))?;
+    let report = fleet.supervise(&spool, 100)?;
+
+    let merged = match out {
+        Some(out) => {
+            // No merged file means no job journaled anything: copy an
+            // empty journal.
+            let text = std::fs::read_to_string(spool.merged_journal()).unwrap_or_default();
+            std::fs::write(&out, text).map_err(|e| format!("write {}: {e}", out.display()))?;
+            out
+        }
+        None => spool.merged_journal(),
     };
-    let workdir = workdir.unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("dtexl-dispatch-{}", std::process::id()))
-    });
-    let opts = DispatchOptions {
-        wedge_timeout: std::time::Duration::from_secs(wedge_timeout),
-        max_restarts,
-        restart_backoff: std::time::Duration::from_millis(restart_backoff_ms),
-        poison_threshold,
-        mem_limit: shard_mem_limit,
-        poll: std::time::Duration::from_millis(poll_ms.max(1)),
-        workdir,
-        merged_journal: out,
-        ..DispatchOptions::default()
-    };
-    let report = dispatch_fleet(&spec, &opts).map_err(|e| format!("dispatch: {e}"))?;
     match format {
         Format::Text => println!("{}", report.summary()),
-        Format::Json => {
-            let poisoned: Vec<String> = report
-                .poisoned
-                .iter()
-                .map(|k| format!("\"{}\"", json_escape(k)))
-                .collect();
-            println!(
-                "{{\"fleet\":{{\"ok\":{},\"failed\":{},\"missing\":{},\"poisoned\":[{}],\
-                 \"shards\":{},\"restarts\":{},\"merged\":\"{}\",\"exit_code\":{}}}}}",
-                report.ok,
-                report.failed,
-                report.missing.len(),
-                poisoned.join(","),
-                report.shards.len(),
-                report.shards.iter().map(|s| s.restarts).sum::<u32>(),
-                json_escape(&report.merged_journal.display().to_string()),
-                report.exit_code()
-            );
-        }
+        Format::Json => println!(
+            "{{\"fleet\":{{\"ok\":{},\"failed\":{},\"missing\":{},\"poisoned\":{},\
+             \"shards\":{},\"restarts\":{},\"merged\":\"{}\",\"exit_code\":{}}}}}",
+            report.ok,
+            report.failed,
+            report.missing.len(),
+            json_str_array(&report.poisoned),
+            report.shards.len(),
+            report.shards.iter().map(|s| s.restarts).sum::<u32>(),
+            json_escape(&merged.display().to_string()),
+            report.exit_code()
+        ),
     }
     Ok(ExitCode::from(report.exit_code()))
 }
@@ -771,32 +778,8 @@ fn cmd_sweep_submit(args: &mut Args, format: Format) -> Result<ExitCode, String>
     let dir = args
         .value("--spool")
         .ok_or_else(|| "missing --spool <dir>".to_string())?;
-    let games_csv = args.value("--games").unwrap_or_else(|| "all".into());
-    let schedules_csv = args
-        .value("--schedules")
-        .unwrap_or_else(|| "baseline,dtexl".into());
-    let (width, height) = parse_res(args)?;
-    let frame: u32 = args.parsed_value("--frame")?.unwrap_or(0);
-    let upper = args.flag("--upper");
+    let specs = parse_job_specs(args)?;
     args.finish()?;
-
-    // Specs carry the *names* of the schedules (not resolved labels):
-    // the daemon and its workers re-resolve them, so both sides
-    // provably materialize the same jobs.
-    let games = games_from_csv(&games_csv)?;
-    let mut specs = Vec::new();
-    for &game in &games {
-        for name in schedules_csv.split(',') {
-            specs.push(JobSpec::new(
-                game.alias(),
-                name.trim(),
-                width,
-                height,
-                frame,
-                upper,
-            )?);
-        }
-    }
     let spool = Spool::open(&dir).map_err(|e| format!("open spool {dir}: {e}"))?;
     match spool.submit(&specs) {
         Ok(receipt) => {
@@ -842,120 +825,24 @@ fn cmd_sweep_daemon(args: &mut Args, format: Format) -> Result<ExitCode, String>
     let dir = args
         .value("--spool")
         .ok_or_else(|| "missing --spool <dir>".to_string())?;
-    // Same defaults and semantics as `sweep dispatch`, minus the job
-    // axes (jobs arrive through the spool).
-    let child_threads = parse_threads(args)?;
-    let job_timeout: Option<u64> = args.parsed_value("--job-timeout")?;
-    let retries: u32 = args.parsed_value("--retries")?.unwrap_or(0);
-    let backoff_ms: u64 = args.parsed_value("--backoff-ms")?.unwrap_or(50);
-    let job_mem_budget_mb: Option<u64> = args.parsed_value("--job-mem-budget")?;
-    let heartbeat_ms: u64 = args.parsed_value("--heartbeat-ms")?.unwrap_or(1_000);
-    let memoize = args.flag("--memoize");
-    let memoize_budget_mb: Option<u64> = args.parsed_value("--memoize-budget")?;
-    let with_obs = args.flag("--with-obs");
     let spool_poll_ms: u64 = args.parsed_value("--spool-poll-ms")?.unwrap_or(100);
-    let shards: u32 = args.parsed_value("--shards")?.unwrap_or(2);
-    if shards == 0 {
-        return Err("--shards must be >= 1".into());
-    }
-    let wedge_timeout: u64 = args.parsed_value("--wedge-timeout")?.unwrap_or(30);
-    let max_restarts: u32 = args.parsed_value("--max-restarts")?.unwrap_or(3);
-    let restart_backoff_ms: u64 = args.parsed_value("--restart-backoff-ms")?.unwrap_or(500);
-    let poison_threshold: u32 = args.parsed_value("--poison-threshold")?.unwrap_or(2);
-    if poison_threshold == 0 {
-        return Err("--poison-threshold must be >= 1".into());
-    }
-    let shard_mem_limit = args
-        .parsed_value::<u64>("--shard-mem-limit")?
-        .map(|mb| mb.saturating_mul(1024 * 1024));
-    let poll_ms: u64 = args.parsed_value("--poll-ms")?.unwrap_or(50);
+    // Same flags as `sweep dispatch`, minus the job axes (jobs arrive
+    // through the spool).
+    let fleet = FleetFlags::parse(args)?;
     args.finish()?;
-    if memoize_budget_mb.is_some() && !memoize {
-        return Err("--memoize-budget requires --memoize".into());
-    }
-
-    // Worker-mode arguments: jobs come from the spool, so no axes are
-    // forwarded; the fleet appends the per-shard
-    // `--shard/--journal/--resume/--progress-to` itself.
-    let mut sweep_args: Vec<String> = vec![
-        "sweep".into(),
-        "--spool".into(),
-        dir.clone(),
-        "--spool-poll-ms".into(),
-        spool_poll_ms.to_string(),
-        "--threads".into(),
-        child_threads.to_string(),
-        "--heartbeat-ms".into(),
-        heartbeat_ms.to_string(),
-        "--backoff-ms".into(),
-        backoff_ms.to_string(),
-    ];
-    if let Some(secs) = job_timeout {
-        sweep_args.push("--job-timeout".into());
-        sweep_args.push(secs.to_string());
-    }
-    if retries > 0 {
-        sweep_args.push("--retries".into());
-        sweep_args.push(retries.to_string());
-    }
-    if let Some(mb) = job_mem_budget_mb {
-        sweep_args.push("--job-mem-budget".into());
-        sweep_args.push(mb.to_string());
-    }
-    if memoize {
-        sweep_args.push("--memoize".into());
-        if let Some(mb) = memoize_budget_mb {
-            sweep_args.push("--memoize-budget".into());
-            sweep_args.push(mb.to_string());
-        }
-    }
-    if with_obs {
-        sweep_args.push("--with-obs".into());
-    }
-
     let spool = Spool::open(&dir).map_err(|e| format!("open spool {dir}: {e}"))?;
-    let program =
-        std::env::current_exe().map_err(|e| format!("cannot locate the dtexl binary: {e}"))?;
-    let spec = FleetSpec {
-        program,
-        sweep_args,
-        // The daemon ingests accepted batches itself; starting on an
-        // empty spool is the normal CI flow.
-        jobs: Vec::new(),
-        shards,
-    };
-    signals::install();
-    let opts = DaemonOptions {
-        dispatch: DispatchOptions {
-            wedge_timeout: std::time::Duration::from_secs(wedge_timeout),
-            max_restarts,
-            restart_backoff: std::time::Duration::from_millis(restart_backoff_ms),
-            poison_threshold,
-            mem_limit: shard_mem_limit,
-            poll: std::time::Duration::from_millis(poll_ms.max(1)),
-            ..DispatchOptions::default()
-        },
-        pipeline: PipelineConfig::default(),
-        poll: std::time::Duration::from_millis(poll_ms.max(1)),
-        shutdown: signals::shutdown_requested,
-    };
-    let report = run_daemon(&spool, spec, &opts).map_err(|e| format!("daemon: {e}"))?;
+    let report = fleet.supervise(&spool, spool_poll_ms)?;
     match format {
         Format::Text => println!("{}", report.summary()),
         Format::Json => {
-            let poisoned: Vec<String> = report
-                .poisoned
-                .iter()
-                .map(|k| format!("\"{}\"", json_escape(k)))
-                .collect();
             println!(
-                "{{\"daemon\":{{\"ok\":{},\"failed\":{},\"missing\":{},\"poisoned\":[{}],\
+                "{{\"daemon\":{{\"ok\":{},\"failed\":{},\"missing\":{},\"poisoned\":{},\
                  \"shards\":{},\"restarts\":{},\"batches_accepted\":{},\"batches_duplicate\":{},\
                  \"batches_rejected\":{},\"status_writes\":{},\"exit_code\":{}}}}}",
                 report.ok,
                 report.failed,
                 report.missing.len(),
-                poisoned.join(","),
+                json_str_array(&report.poisoned),
                 report.shards.len(),
                 report.shards.iter().map(|s| s.restarts).sum::<u32>(),
                 report.batches.0,

@@ -305,6 +305,66 @@ fn sharded_sweeps_merge_back_to_the_unsharded_journal() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `sweep dispatch` runs the daemon on a pre-armed spool: exit 0, the
+/// `fleet` JSON object, the terminal daemon status in the workdir, and
+/// an `--out` journal that canonicalizes like a plain sweep's.
+#[test]
+fn dispatch_runs_the_daemon_and_merges_like_a_plain_sweep() {
+    let dir = std::env::temp_dir().join(format!("dtexl_cli_dispatch_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let axes = [
+        "--games",
+        "GTr",
+        "--schedules",
+        "baseline,dtexl",
+        "--res",
+        "64x32",
+    ];
+
+    let mut args = vec!["--format", "json", "sweep", "dispatch", "--shards", "2"];
+    args.extend_from_slice(&axes);
+    let (workdir, merged) = (path("fleet"), path("merged.jsonl"));
+    args.extend_from_slice(&["--workdir", &workdir, "--out", &merged, "--poll-ms", "10"]);
+    let out = dtexl(&args);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let line = stdout.trim();
+    assert!(line.starts_with("{\"fleet\":{"), "stdout: {stdout}");
+    for key in [
+        "ok",
+        "failed",
+        "missing",
+        "poisoned",
+        "shards",
+        "restarts",
+        "merged",
+        "exit_code",
+    ] {
+        assert!(line.contains(&format!("\"{key}\":")), "{key} in {line}");
+    }
+    assert!(line.contains("\"ok\":2,\"failed\":0,\"missing\":0,\"poisoned\":[]"));
+    assert!(line.contains("\"shards\":2,") && line.ends_with("\"exit_code\":0}}"));
+    let status = std::fs::read_to_string(dir.join("fleet").join("status.json")).unwrap();
+    assert!(status.contains("\"alive\":false"), "{status}");
+
+    let mut args = vec!["sweep", "--journal"];
+    let plain = path("plain.jsonl");
+    args.push(&plain);
+    args.extend_from_slice(&axes);
+    assert!(dtexl(&args).status.success());
+    let canon = |journal: &str| dtexl(&["sweep", "canon", journal]).stdout;
+    let merged_canon = canon(&merged);
+    assert_eq!(String::from_utf8_lossy(&merged_canon).lines().count(), 2);
+    assert_eq!(merged_canon, canon(&plain));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn sweep_rejects_bad_shard_specs_and_merge_without_out() {
     for bad in ["2/2", "0/0", "nonsense", "1"] {

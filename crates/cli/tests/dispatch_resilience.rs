@@ -1,6 +1,7 @@
-//! End-to-end resilience of the `sweep dispatch` fleet supervisor
-//! (`dtexl::dispatch`), driving the real `dtexl` binary as shard
-//! children:
+//! End-to-end resilience of the fleet supervisor (`dtexl::dispatch`,
+//! driven by `dtexl::daemon::run_daemon` on a pre-armed spool, as
+//! `sweep dispatch` does), with the real `dtexl` binary as `sweep
+//! --spool` shard workers:
 //!
 //! * kill -9 one shard mid-sweep → the supervisor restarts it from
 //!   its journal and the merged result canonicalizes bit-identically
@@ -8,13 +9,16 @@
 //! * wedge one shard (a fault-plan wall stall with heartbeats off) →
 //!   the supervisor detects the silence, kills and restarts the
 //!   shard, and after the poison threshold quarantines the job as a
-//!   typed `poisoned` journal record while every other job completes.
+//!   typed `poisoned` journal record, stamped with the config hash
+//!   the worker reported, while every other job completes.
 
-use dtexl::dispatch::{dispatch_fleet, DeathCause, DispatchOptions, FleetSpec, ShardOutcome};
+use dtexl::daemon::{run_daemon, DaemonOptions};
+use dtexl::dispatch::{DeathCause, DispatchOptions, FleetSpec, ShardOutcome};
+use dtexl::spool::{JobSpec, Spool};
 use dtexl::sweep::{latest_entries, shard_of, SweepJob};
 use dtexl_scene::Game;
 use dtexl_sched::ScheduleConfig;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -36,8 +40,8 @@ fn scratch_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// The job list both the supervisor and the children build from the
-/// same axes, with the stall hook applied exactly as the CLI does.
+/// The job list the workers build from the spooled axes, with the
+/// stall hook applied exactly as the CLI does.
 fn jobs_with_stall(stall_key: Option<&str>, stall_ms: u64) -> Vec<SweepJob> {
     let mut jobs = Vec::new();
     for game in [Game::CandyCrush, Game::GravityTetris, Game::TempleRun] {
@@ -54,23 +58,9 @@ fn jobs_with_stall(stall_key: Option<&str>, stall_ms: u64) -> Vec<SweepJob> {
     jobs
 }
 
-/// The forwarded child sweep arguments matching [`jobs_with_stall`].
-fn sweep_args(heartbeat_ms: u64, stall_key: Option<&str>, stall_ms: u64) -> Vec<String> {
-    let mut args: Vec<String> = [
-        "sweep",
-        "--games",
-        GAMES_CSV,
-        "--schedules",
-        SCHEDULES_CSV,
-        "--res",
-        "192x96",
-        "--threads",
-        "1",
-        "--keep-going",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
+/// The per-job sweep flags shared by the clean run and the workers.
+fn job_args(heartbeat_ms: u64, stall_key: Option<&str>, stall_ms: u64) -> Vec<String> {
+    let mut args: Vec<String> = vec!["--threads".into(), "1".into()];
     args.push("--heartbeat-ms".into());
     args.push(heartbeat_ms.to_string());
     if let Some(key) = stall_key {
@@ -86,7 +76,9 @@ fn sweep_args(heartbeat_ms: u64, stall_key: Option<&str>, stall_ms: u64) -> Vec<
 /// axes (and stall hook, so config hashes line up).
 fn clean_sweep(journal: &PathBuf, stall_key: Option<&str>, stall_ms: u64) {
     let mut cmd = Command::new(dtexl_bin());
-    cmd.args(sweep_args(1_000, stall_key, stall_ms))
+    cmd.args(["sweep", "--keep-going", "--res", "192x96"])
+        .args(["--games", GAMES_CSV, "--schedules", SCHEDULES_CSV])
+        .args(job_args(1_000, stall_key, stall_ms))
         .arg("--journal")
         .arg(journal);
     let out = cmd.output().expect("run clean sweep");
@@ -112,6 +104,36 @@ fn canon(journal: &PathBuf) -> String {
         journal.display()
     );
     String::from_utf8(out.stdout).expect("canon output is utf-8")
+}
+
+/// A spool in `dir` armed as `sweep dispatch` arms it: the axes
+/// submitted as one batch, accepted, and the drain requested.
+fn arm_spool(dir: &Path) -> Spool {
+    let spool = Spool::open(dir).expect("open spool");
+    let mut specs = Vec::new();
+    for game in GAMES_CSV.split(',') {
+        for schedule in SCHEDULES_CSV.split(',') {
+            specs.push(JobSpec::new(game, schedule, W, H, 0, false).expect("valid spec"));
+        }
+    }
+    spool.submit(&specs).expect("submit");
+    assert_eq!(spool.accept_incoming().accepted.len(), 1);
+    spool.request_drain().expect("drain marker");
+    spool
+}
+
+/// The fleet over `spool`: `sweep --spool` workers with the per-job
+/// flags and the stall hook.
+fn fleet_spec(spool: &Spool, heartbeat_ms: u64, stall_key: &str, stall_ms: u64) -> FleetSpec {
+    let mut sweep_args: Vec<String> = vec!["sweep".into(), "--spool".into()];
+    sweep_args.push(spool.root().to_string_lossy().into_owned());
+    sweep_args.extend(["--spool-poll-ms".into(), "20".into()]);
+    sweep_args.extend(job_args(heartbeat_ms, Some(stall_key), stall_ms));
+    FleetSpec {
+        program: dtexl_bin(),
+        sweep_args,
+        shards: 2,
+    }
 }
 
 fn kill9(pid: u32) {
@@ -153,24 +175,23 @@ fn killed_shard_restarts_from_journal_and_canon_matches_clean_run() {
     let clean = dir.join("clean.jsonl");
     clean_sweep(&clean, Some(stall_key), stall_ms);
 
-    let spec = FleetSpec {
-        program: dtexl_bin(),
-        sweep_args: sweep_args(1_000, Some(stall_key), stall_ms),
-        jobs,
-        shards: 2,
-    };
-    let opts = DispatchOptions {
-        wedge_timeout: Duration::from_secs(120),
-        max_restarts: 3,
-        restart_backoff: Duration::from_millis(50),
-        poison_threshold: 2,
+    let spool = arm_spool(&dir.join("spool"));
+    let spec = fleet_spec(&spool, 1_000, stall_key, stall_ms);
+    let opts = DaemonOptions {
+        dispatch: DispatchOptions {
+            wedge_timeout: Duration::from_secs(120),
+            max_restarts: 3,
+            restart_backoff: Duration::from_millis(50),
+            poison_threshold: 2,
+            log: kill_log,
+            ..DispatchOptions::default()
+        },
         poll: Duration::from_millis(20),
-        workdir: dir.clone(),
-        log: kill_log,
-        ..DispatchOptions::default()
+        ..DaemonOptions::default()
     };
 
-    let fleet = std::thread::spawn(move || dispatch_fleet(&spec, &opts).expect("fleet runs"));
+    let merged_journal = spool.merged_journal();
+    let fleet = std::thread::spawn(move || run_daemon(&spool, spec, &opts).expect("fleet runs"));
 
     // Watch the supervisor log for the victim shard's first spawn,
     // give it a beat to get into the sweep (the stalled job pins the
@@ -216,7 +237,7 @@ fn killed_shard_restarts_from_journal_and_canon_matches_clean_run() {
 
     // The paper-facing acceptance bar: merged canon == clean canon,
     // byte for byte.
-    let merged_canon = canon(&report.merged_journal);
+    let merged_canon = canon(&merged_journal);
     let clean_canon = canon(&clean);
     assert!(!merged_canon.is_empty());
     assert_eq!(merged_canon, clean_canon, "recovery is bit-identical");
@@ -249,23 +270,21 @@ fn wedged_shard_is_restarted_and_its_job_poisoned() {
         .expect("stalled job exists");
     let victim_shard = shard_of(&victim_key, 2);
 
-    let spec = FleetSpec {
-        program: dtexl_bin(),
-        sweep_args: sweep_args(0, Some(stall_key), stall_ms),
-        jobs,
-        shards: 2,
-    };
-    let opts = DispatchOptions {
-        wedge_timeout: Duration::from_millis(1_500),
-        max_restarts: 3,
-        restart_backoff: Duration::from_millis(50),
-        poison_threshold: 2,
+    let spool = arm_spool(&dir.join("spool"));
+    let opts = DaemonOptions {
+        dispatch: DispatchOptions {
+            wedge_timeout: Duration::from_millis(1_500),
+            max_restarts: 3,
+            restart_backoff: Duration::from_millis(50),
+            poison_threshold: 2,
+            log: wedge_log,
+            ..DispatchOptions::default()
+        },
         poll: Duration::from_millis(20),
-        workdir: dir.clone(),
-        log: wedge_log,
-        ..DispatchOptions::default()
+        ..DaemonOptions::default()
     };
-    let report = dispatch_fleet(&spec, &opts).expect("fleet runs");
+    let spec = fleet_spec(&spool, 0, stall_key, stall_ms);
+    let report = run_daemon(&spool, spec, &opts).expect("fleet runs");
 
     let victim = &report.shards[victim_shard as usize];
     assert!(
@@ -294,13 +313,23 @@ fn wedged_shard_is_restarted_and_its_job_poisoned() {
     assert_eq!(report.failed, 1);
     assert!(report.missing.is_empty());
 
-    // The merged journal carries the typed quarantine record.
-    let merged = std::fs::read_to_string(&report.merged_journal).unwrap();
+    // The merged journal carries the typed quarantine record, stamped
+    // with the hash the worker reported: the stalled job's own, which
+    // the stall set apart from the plain job's.
+    let merged = std::fs::read_to_string(spool.merged_journal()).unwrap();
     let latest = latest_entries(&merged);
     let entry = &latest[&victim_key];
     assert_eq!(entry.status, "failed");
     assert_eq!(entry.error_kind.as_deref(), Some("poisoned"));
     assert_eq!(entry.attempts, 2, "blamed for two deaths");
+    let hash_of = |jobs: Vec<SweepJob>| {
+        jobs.into_iter()
+            .find(|j| j.key() == victim_key)
+            .map(|j| j.config_hash())
+    };
+    let stalled_hash = hash_of(jobs);
+    assert_eq!(entry.config_hash, stalled_hash);
+    assert_ne!(stalled_hash, hash_of(jobs_with_stall(None, 0)));
 
     // Healthy jobs are untouched by the injection (their fault plans
     // — and so config hashes — never changed): canon of the merged
@@ -313,7 +342,7 @@ fn wedged_shard_is_restarted_and_its_job_poisoned() {
         .filter(|l| !l.contains(&victim_key))
         .map(|l| format!("{l}\n"))
         .collect();
-    assert_eq!(canon(&report.merged_journal), clean_minus_victim);
+    assert_eq!(canon(&spool.merged_journal()), clean_minus_victim);
 
     // The supervisor narrated the recovery in greppable form.
     let log = WEDGE_LOG.lock().unwrap().join("\n");

@@ -1,9 +1,11 @@
-//! Long-running sweep daemon: a spool-fed fleet supervisor with
-//! merge-as-you-go and a pollable status endpoint.
+//! Sweep daemon: a spool-fed fleet supervisor with merge-as-you-go
+//! and a pollable status endpoint — the one way to run a fleet.
 //!
-//! [`dispatch_fleet`](crate::dispatch::dispatch_fleet) runs one fixed
-//! batch and merges at exit. The daemon ([`run_daemon`]) runs the same
-//! per-shard supervision state machine *open-ended*:
+//! [`run_daemon`] drives the per-shard supervision state machine of
+//! [`crate::dispatch`] over a spool. `dtexl sweep daemon` runs it
+//! open-ended; `dtexl sweep dispatch` runs it on a pre-armed spool (one
+//! batch submitted and accepted, drain already requested), so it
+//! drains that batch and exits:
 //!
 //! * **Durable spool.** Jobs arrive through a [`Spool`] directory —
 //!   `dtexl sweep submit` atomically appends content-addressed batches
@@ -40,7 +42,9 @@
 //! daemon, as in the dispatch module; the determinism lint allows it
 //! here by scoped built-in allowlist entries.
 
-use crate::dispatch::{audit_coverage, DispatchOptions, Fleet, FleetSpec, ShardSummary, ShardView};
+use crate::dispatch::{
+    audit_coverage, DispatchOptions, Fleet, FleetSpec, ShardOutcome, ShardSummary,
+};
 use crate::registry::{DaemonMetrics, RESTART_CAUSES};
 use crate::spool::{atomic_write, field_bool, jobs_from_specs, Spool, EVENTS_ROTATE_BYTES};
 use crate::sweep::{
@@ -49,6 +53,7 @@ use crate::sweep::{
     SweepOptions,
 };
 use crate::tail::TailReader;
+use dtexl_pipeline::PipelineConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -373,10 +378,13 @@ impl LiveMerger {
 /// Knobs for [`run_spool_worker`] (`dtexl sweep --spool`).
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
-    /// Base pipeline configuration job specs are materialized under
-    /// (must match the daemon's, or config hashes diverge and resume
-    /// breaks).
-    pub pipeline: dtexl_pipeline::PipelineConfig,
+    /// Applied to every job the worker materializes from the spool,
+    /// before it is run or counted: the CLI's `--stall-key/--stall-ms`
+    /// supervision test hook, the same function plain `dtexl sweep`
+    /// applies. A stalled job's fault plan, and so its config hash,
+    /// changes exactly as in a plain sweep. A fn pointer (like
+    /// [`Self::shutdown`]) so the options stay `Clone` + `Debug`.
+    pub stall: fn(&mut SweepJob),
     /// Sleep between spool scans when the queue is empty.
     pub poll: Duration,
     /// Sweep execution knobs (journal, shard, retries, progress hook,
@@ -393,7 +401,7 @@ pub struct WorkerOptions {
 impl Default for WorkerOptions {
     fn default() -> Self {
         Self {
-            pipeline: dtexl_pipeline::PipelineConfig::default(),
+            stall: |_| {},
             poll: Duration::from_millis(100),
             sweep: SweepOptions::default(),
             shutdown: || false,
@@ -430,31 +438,38 @@ impl WorkerReport {
     }
 }
 
-/// This worker's slice of the spool queue right now: every accepted
-/// spec, materialized, shard-filtered, minus jobs with a terminal
-/// journal record at the current config hash.
-fn pending_jobs(spool: &Spool, opts: &WorkerOptions, journal_text: &str) -> (Vec<SweepJob>, u64) {
+/// Every accepted spec, materialized under the default pipeline with
+/// the stall hook applied, and filtered to this worker's shard; plus
+/// the count of accepted batches that failed to read.
+fn shard_jobs(spool: &Spool, opts: &WorkerOptions) -> (Vec<SweepJob>, u64) {
     let (specs, corrupt) = spool.accepted_specs();
+    let mut jobs = jobs_from_specs(&specs, &PipelineConfig::default());
+    jobs.retain_mut(|job| {
+        (opts.stall)(job);
+        opts.sweep
+            .shard
+            .is_none_or(|shard| shard.contains(&job.key()))
+    });
+    (jobs, corrupt)
+}
+
+/// This worker's slice of the spool queue right now: its shard's jobs
+/// minus those with a terminal journal record at the current config
+/// hash.
+fn pending_jobs(spool: &Spool, opts: &WorkerOptions, journal_text: &str) -> (Vec<SweepJob>, u64) {
+    let (mut jobs, corrupt) = shard_jobs(spool, opts);
     let latest = latest_entries(journal_text);
-    let jobs = jobs_from_specs(&specs, &opts.pipeline)
-        .into_iter()
-        .filter(|job| {
-            opts.sweep
-                .shard
-                .is_none_or(|shard| shard.contains(&job.key()))
-        })
-        // Any journaled record at the current hash — ok, skipped,
-        // failed, poisoned — is terminal across daemon generations.
-        // (Plain resume re-runs failures, which is right for a
-        // one-shot sweep; an idle-looping worker re-running a
-        // deterministic failure forever is not. To re-run a failed
-        // job, clear the journal or change the config.)
-        .filter(|job| {
-            latest
-                .get(&job.key())
-                .is_none_or(|e| e.config_hash != Some(job.config_hash()))
-        })
-        .collect();
+    // Any journaled record at the current hash — ok, skipped, failed,
+    // poisoned — is terminal across daemon generations. (Plain resume
+    // re-runs failures, which is right for a one-shot sweep; an
+    // idle-looping worker re-running a deterministic failure forever
+    // is not. To re-run a failed job, clear the journal or change the
+    // config.)
+    jobs.retain(|job| {
+        latest
+            .get(&job.key())
+            .is_none_or(|e| e.config_hash != Some(job.config_hash()))
+    });
     (jobs, corrupt)
 }
 
@@ -504,6 +519,7 @@ pub fn run_spool_worker(spool: &Spool, opts: &WorkerOptions) -> std::io::Result<
                     status: None,
                     top_stall: None,
                     dram_requests: None,
+                    config_hash: 0,
                 });
                 idle_seq += 1;
             }
@@ -527,14 +543,9 @@ pub fn run_spool_worker(spool: &Spool, opts: &WorkerOptions) -> std::io::Result<
     // job view (the worker's exit code mirrors `dtexl sweep`).
     let journal_text = read_journal(&journal);
     let latest = latest_entries(&journal_text);
-    let (specs, _) = spool.accepted_specs();
-    report.failed = jobs_from_specs(&specs, &opts.pipeline)
+    report.failed = shard_jobs(spool, opts)
+        .0
         .into_iter()
-        .filter(|job| {
-            opts.sweep
-                .shard
-                .is_none_or(|shard| shard.contains(&job.key()))
-        })
         .filter(|job| {
             latest
                 .get(&job.key())
@@ -549,14 +560,10 @@ pub fn run_spool_worker(spool: &Spool, opts: &WorkerOptions) -> std::io::Result<
 /// Knobs for [`run_daemon`].
 #[derive(Debug, Clone)]
 pub struct DaemonOptions {
-    /// Fleet supervision knobs. `workdir` and `merged_journal` are
-    /// overridden to live inside the spool (shard journals are spool
-    /// state — that is what makes the daemon's resume exact).
+    /// Fleet supervision knobs. Shard journals, progress streams and
+    /// child logs live in the spool (shard journals are spool state —
+    /// that is what makes the daemon's resume exact).
     pub dispatch: DispatchOptions,
-    /// Base pipeline configuration the daemon uses to compute job keys
-    /// and config hashes. Must match what the worker arguments produce
-    /// in the children.
-    pub pipeline: dtexl_pipeline::PipelineConfig,
     /// Supervisor loop sleep between ticks.
     pub poll: Duration,
     /// Polled every tick; `true` requests a graceful drain (the CLI
@@ -568,7 +575,6 @@ impl Default for DaemonOptions {
     fn default() -> Self {
         Self {
             dispatch: DispatchOptions::default(),
-            pipeline: dtexl_pipeline::PipelineConfig::default(),
             poll: Duration::from_millis(50),
             shutdown: || false,
         }
@@ -600,9 +606,8 @@ pub struct DaemonReport {
 }
 
 impl DaemonReport {
-    /// Process exit code, mirroring
-    /// [`FleetReport::exit_code`](crate::dispatch::FleetReport::exit_code):
-    /// 0 every job ok, 2 completed with failures, 1 supervision
+    /// Process exit code, mirroring `dtexl sweep`: 0 every job ok, 2
+    /// completed with failed (incl. poisoned) jobs, 1 supervision
     /// failure (gave-up shard, missing coverage, or a divergent
     /// merge).
     #[must_use]
@@ -610,7 +615,7 @@ impl DaemonReport {
         let gave_up = self
             .shards
             .iter()
-            .any(|s| matches!(s.outcome, crate::dispatch::ShardOutcome::GaveUp));
+            .any(|s| s.outcome == ShardOutcome::GaveUp);
         if gave_up || !self.missing.is_empty() || self.merge_error.is_some() {
             1
         } else if self.failed > 0 {
@@ -620,7 +625,8 @@ impl DaemonReport {
         }
     }
 
-    /// Multi-line human summary.
+    /// Multi-line human summary: coverage, one line per shard with
+    /// restarts and deaths, then one line per poisoned job.
     #[must_use]
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
@@ -642,10 +648,8 @@ impl DaemonReport {
         }
         for sh in &self.shards {
             let outcome = match &sh.outcome {
-                crate::dispatch::ShardOutcome::Completed { code } => {
-                    format!("completed (exit {code})")
-                }
-                crate::dispatch::ShardOutcome::GaveUp => "gave up".into(),
+                ShardOutcome::Completed { code } => format!("completed (exit {code})"),
+                ShardOutcome::GaveUp => "gave up".into(),
             };
             let _ = write!(
                 s,
@@ -656,8 +660,21 @@ impl DaemonReport {
                 let _ = write!(s, "\n    death: {d}");
             }
         }
+        for key in &self.poisoned {
+            let _ = write!(s, "\n  poisoned: {key}");
+        }
         s
     }
+}
+
+/// The job keys of every accepted spec. Keys depend only on the spec,
+/// so the supervisor needs no pipeline configuration to compute them.
+fn accepted_keys(spool: &Spool) -> Vec<String> {
+    let (specs, _) = spool.accepted_specs();
+    jobs_from_specs(&specs, &PipelineConfig::default())
+        .iter()
+        .map(SweepJob::key)
+        .collect()
 }
 
 /// Journal a batch-level event (rejected or duplicate batch) into the
@@ -686,10 +703,11 @@ fn journal_batch_event(spool: &Spool, log: fn(&str), name: &str, error: JobError
 
 /// Run the sweep daemon over `spool` until drained.
 ///
-/// `spec.jobs` may start empty (the classic CI flow starts the daemon
-/// on an empty spool); `spec.sweep_args` must be the worker-mode
-/// arguments (`sweep --spool <dir> …`) — the fleet appends the
-/// per-shard `--shard/--journal/--resume/--progress-to` itself.
+/// The spool may start empty (the classic CI flow) or pre-armed (a
+/// batch accepted and the drain marker set, as `dtexl sweep dispatch`
+/// does). `spec.sweep_args` must be the worker-mode arguments (`sweep
+/// --spool <dir> …`) — the fleet appends the per-shard
+/// `--shard/--journal/--resume/--progress-to` itself.
 ///
 /// # Errors
 ///
@@ -701,12 +719,10 @@ pub fn run_daemon(
     spec: FleetSpec,
     opts: &DaemonOptions,
 ) -> std::io::Result<DaemonReport> {
-    let mut dopts = opts.dispatch.clone();
-    dopts.workdir = spool.root().to_path_buf();
-    dopts.merged_journal = Some(spool.merged_journal());
+    let dopts = &opts.dispatch;
     let log = dopts.log;
 
-    let mut fleet = Fleet::new(spec, &dopts)?;
+    let mut fleet = Fleet::new(spec, spool);
     let mut merger = LiveMerger::new(fleet.journals(), spool.merged_journal(), spool.canon_file());
     let metrics = DaemonMetrics::new();
     // Re-fold whatever the shard journals already contain: a restarted
@@ -725,8 +741,7 @@ pub fn run_daemon(
     let mut clocked: BTreeSet<String> = BTreeSet::new();
 
     // Initial ingest: accepted batches from a previous daemon run.
-    let (specs, _) = spool.accepted_specs();
-    let known = fleet.extend_jobs(&jobs_from_specs(&specs, &opts.pipeline));
+    let known = fleet.extend_keys(accepted_keys(spool));
     if known > 0 {
         log(&format!("daemon: resumed spool with {known} known job(s)"));
     }
@@ -772,12 +787,11 @@ pub fn run_daemon(
                 );
             }
             if !accept.accepted.is_empty() {
-                let (specs, _) = spool.accepted_specs();
-                let added = fleet.extend_jobs(&jobs_from_specs(&specs, &opts.pipeline));
+                let added = fleet.extend_keys(accepted_keys(spool));
                 log(&format!(
                     "daemon: accepted {} batch(es), {added} new job(s), {} known total",
                     accept.accepted.len(),
-                    fleet.key_info().len()
+                    fleet.keys().len()
                 ));
             }
         }
@@ -788,11 +802,11 @@ pub fn run_daemon(
             log(&format!("daemon: {e}"));
         }
 
-        let settled = fleet.tick(&dopts)?;
+        let settled = fleet.tick(dopts)?;
         if !spool.drain_requested() {
             // A worker that exited while the queue is open is revived
             // (it only exits by itself when draining).
-            fleet.revive_completed(&dopts);
+            fleet.revive_completed(dopts);
         }
         if merger.tick()? {
             metrics.merge_swaps.inc();
@@ -837,7 +851,7 @@ pub fn run_daemon(
     if merger.tick()? {
         metrics.merge_swaps.inc();
     }
-    let cov = audit_coverage(fleet.key_info().keys(), |k| merger.acc.get(k));
+    let cov = audit_coverage(fleet.keys(), |k| merger.acc.get(k));
     let mut status = build_status(spool, &fleet, &merger, batches, status_writes + 1);
     status.alive = false;
     status.state = if cov.missing.is_empty() {
@@ -882,7 +896,7 @@ fn build_status(
     seq: u64,
 ) -> DaemonStatus {
     let views = fleet.views();
-    let cov = audit_coverage(fleet.key_info().keys(), |k| merger.acc.get(k));
+    let cov = audit_coverage(fleet.keys(), |k| merger.acc.get(k));
     let in_flight: Vec<String> = views.iter().flat_map(|v| v.in_flight.clone()).collect();
     let peak = views.iter().map(|v| v.peak_alloc_bytes).max().unwrap_or(0);
     let draining = spool.drain_requested();
@@ -900,7 +914,7 @@ fn build_status(
         pid: std::process::id(),
         seq,
         draining,
-        submitted_jobs: fleet.key_info().len() as u64,
+        submitted_jobs: fleet.keys().len() as u64,
         queued,
         ok: cov.ok as u64,
         failed: cov.failed as u64,
@@ -910,7 +924,7 @@ fn build_status(
         batches_rejected: batches.2,
         peak_alloc_bytes: peak,
         in_flight,
-        shards: views.into_iter().map(shard_status).collect(),
+        shards: views,
     }
 }
 
@@ -961,7 +975,7 @@ fn observe_wall_clocks(
     merger: &LiveMerger,
     clocked: &mut BTreeSet<String>,
 ) {
-    for key in fleet.key_info().keys() {
+    for key in fleet.keys() {
         if clocked.contains(key) {
             continue;
         }
@@ -971,20 +985,6 @@ fn observe_wall_clocks(
                 clocked.insert(key.clone());
             }
         }
-    }
-}
-
-/// Convert a fleet shard view into its status-document row.
-fn shard_status(view: ShardView) -> ShardStatus {
-    ShardStatus {
-        index: view.index,
-        phase: view.phase.to_string(),
-        pid: view.pid,
-        restarts: view.restarts,
-        backoff_ms: view.backoff_ms,
-        peak_alloc_bytes: view.peak_alloc_bytes,
-        deaths: view.deaths,
-        in_flight: view.in_flight,
     }
 }
 
@@ -1204,6 +1204,72 @@ mod tests {
         assert_eq!(parsed, status);
     }
 
+    fn sample_report() -> DaemonReport {
+        DaemonReport {
+            shards: vec![ShardSummary {
+                shard: crate::sweep::Shard::new(0, 1).expect("valid shard"),
+                restarts: 0,
+                deaths: Vec::new(),
+                outcome: ShardOutcome::Completed { code: 0 },
+                stream_gaps: 0,
+            }],
+            merge: MergeStats::default(),
+            merge_error: None,
+            ok: 4,
+            failed: 0,
+            poisoned: Vec::new(),
+            missing: Vec::new(),
+            batches: (1, 0, 0),
+            status_writes: 3,
+        }
+    }
+
+    #[test]
+    fn daemon_report_exit_codes_mirror_the_sweep() {
+        let base = sample_report();
+        assert_eq!(base.exit_code(), 0);
+        let with_failures = DaemonReport {
+            failed: 1,
+            poisoned: vec!["k".into()],
+            ..base.clone()
+        };
+        assert_eq!(with_failures.exit_code(), 2);
+        let gave_up = DaemonReport {
+            shards: vec![ShardSummary {
+                outcome: ShardOutcome::GaveUp,
+                ..base.shards[0].clone()
+            }],
+            ..base.clone()
+        };
+        assert_eq!(gave_up.exit_code(), 1);
+        let missing = DaemonReport {
+            missing: vec!["k".into()],
+            ..base.clone()
+        };
+        assert_eq!(missing.exit_code(), 1);
+        let merge_failed = DaemonReport {
+            merge_error: Some("divergent".into()),
+            ..base
+        };
+        assert_eq!(merge_failed.exit_code(), 1);
+    }
+
+    #[test]
+    fn daemon_report_summary_names_poisoned_jobs() {
+        let report = DaemonReport {
+            failed: 1,
+            poisoned: vec!["TRu|CG-square/Hilbert/flp2|base|192x96#0".into()],
+            ..sample_report()
+        };
+        let summary = report.summary();
+        assert!(summary.contains("1 failed (1 poisoned)"), "{summary}");
+        assert!(
+            summary.ends_with("\n  poisoned: TRu|CG-square/Hilbert/flp2|base|192x96#0"),
+            "{summary}"
+        );
+        assert!(!sample_report().summary().contains("poisoned:"));
+    }
+
     fn tiny_job(game: &str, schedule: &str) -> JobSpec {
         JobSpec::new(game, schedule, 64, 32, 0, false).expect("valid spec")
     }
@@ -1242,6 +1308,44 @@ mod tests {
         let again = run_spool_worker(&spool, &wopts).expect("worker reruns");
         assert_eq!(again.generations, 0);
         assert_eq!(again.jobs_run, 0);
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// The stall hook reaches every job the worker materializes: the
+    /// journal carries the stalled hash, and dropping the hook changes
+    /// the hash, so the same spool runs again.
+    #[test]
+    fn spool_worker_applies_the_stall_hook() {
+        fn stall(job: &mut SweepJob) {
+            job.pipeline.fault.wall_stall_ms = 1;
+        }
+        let root = scratch("stall");
+        let spool = Spool::open(&root).expect("open spool");
+        let spec = tiny_job("GTr", "baseline");
+        spool.submit(std::slice::from_ref(&spec)).expect("submit");
+        assert_eq!(spool.accept_incoming().accepted.len(), 1);
+        spool.request_drain().expect("drain marker");
+        let mut wopts = WorkerOptions {
+            stall,
+            poll: Duration::from_millis(1),
+            ..WorkerOptions::default()
+        };
+        wopts.sweep.journal = Some(root.join("shard-0.jsonl"));
+        wopts.sweep.workers = 1;
+        let report = run_spool_worker(&spool, &wopts).expect("worker runs");
+        assert_eq!((report.jobs_run, report.failed), (1, 0));
+
+        let mut stalled = spec.to_job(&PipelineConfig::default());
+        let plain = stalled.config_hash();
+        stall(&mut stalled);
+        assert_ne!(stalled.config_hash(), plain);
+        let journal = std::fs::read_to_string(root.join("shard-0.jsonl")).expect("journal");
+        let entry = &latest_entries(&journal)[&stalled.key()];
+        assert_eq!(entry.config_hash, Some(stalled.config_hash()));
+
+        wopts.stall = |_| {};
+        let again = run_spool_worker(&spool, &wopts).expect("worker reruns");
+        assert_eq!(again.jobs_run, 1, "a different hash is new work");
         let _ = std::fs::remove_dir_all(&root);
     }
 

@@ -1,12 +1,14 @@
-//! Fleet supervisor for multi-process sweeps (`dtexl sweep dispatch`).
+//! Fleet supervisor for multi-process sweeps (`dtexl sweep daemon`
+//! and `dtexl sweep dispatch`, which is the daemon on a pre-armed
+//! spool).
 //!
 //! [`run_sweep`](crate::sweep::run_sweep) already isolates jobs on
 //! disposable threads, but a panic that escapes isolation, an OOM
 //! kill, or a wedged process still takes the whole run down with it.
 //! This module moves the fault boundary to the *process*: a supervisor
-//! spawns one child `dtexl sweep --shard i/N` per shard, tails each
-//! child's `--progress-to` JSONL stream, and drives a per-shard state
-//! machine:
+//! spawns one child `dtexl sweep --spool DIR --shard i/N` per shard,
+//! tails each child's `--progress-to` JSONL stream, and drives a
+//! per-shard state machine:
 //!
 //! ```text
 //!            ┌────────────────────── backoff elapsed ─────────────┐
@@ -29,14 +31,17 @@
 //! supervisor appends a typed `error_kind:"poisoned"` record to the
 //! shard's journal and restarts the shard, whose `--resume` pass sees
 //! the quarantine ([`JobError::Poisoned`]) and fails the job without
-//! executing it. One pathological config therefore degrades to a
-//! single failed record instead of a dead fleet.
+//! executing it. The record carries the `config_hash` the child
+//! itself reported on the job's progress events, so the supervisor
+//! never rebuilds a job list of its own. One pathological config
+//! therefore degrades to a single failed record instead of a dead
+//! fleet.
 //!
 //! Children always restart `--resume`-ing their own journal, so a
 //! restart re-runs only the jobs the dead incarnation had not
-//! journaled. On fleet completion the supervisor merges the shard
-//! journals through the same last-wins path as `dtexl sweep merge`
-//! and reports coverage over the full job list.
+//! journaled. The daemon ([`run_daemon`](crate::daemon::run_daemon))
+//! drives this machine one tick at a time, merges the shard journals
+//! as they grow and audits coverage over the spool's job keys.
 //!
 //! Hard memory enforcement happens at the process boundary: when a
 //! per-shard limit is set, the supervisor places each child in a
@@ -47,14 +52,16 @@
 //! workers that an in-process `AllocMeter` can only see when the
 //! pipeline hands the tag down.
 //!
-//! Wall-clock use (child polling, wedge timers, restart backoff) is
-//! intrinsic to supervising real processes; the determinism lint
-//! allows it here by a scoped built-in allowlist entry rather than by
-//! widening the sim-crate rules (see `cargo xtask lint`).
+//! Wall-clock use (wedge timers, restart backoff) is intrinsic to
+//! supervising real processes; the determinism lint allows it here by
+//! a scoped built-in allowlist entry rather than by widening the
+//! sim-crate rules (see `cargo xtask lint`).
 
+use crate::daemon::ShardStatus;
+use crate::spool::Spool;
 use crate::sweep::{
-    journal_line, latest_entries, merge_journals, parse_progress_line, JobError, JobRecord,
-    JobStatus, JournalEntry, MergeStats, ProgressLine, Shard, SweepJob,
+    journal_line, parse_progress_line, JobError, JobRecord, JobStatus, JournalEntry, ProgressLine,
+    Shard,
 };
 use crate::tail::TailReader;
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,29 +71,22 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// What to run: the child binary, the sweep arguments every shard
-/// shares, and the supervisor's own copy of the job list (used to
-/// stamp poison records with the right `config_hash` and to audit
-/// coverage after the merge).
+/// What to run: the child binary, the worker arguments every shard
+/// shares, and the shard count.
 #[derive(Debug, Clone)]
 pub struct FleetSpec {
     /// The `dtexl` binary to spawn.
     pub program: PathBuf,
-    /// Sweep arguments forwarded to every child verbatim (games,
-    /// schedules, resolution, budgets, …). The supervisor appends the
+    /// Worker arguments forwarded to every child verbatim (`sweep
+    /// --spool DIR`, budgets, …). The supervisor appends the
     /// per-shard `--shard i/N --journal … --resume --progress-to …`
     /// itself; the spec must not contain them.
     pub sweep_args: Vec<String>,
-    /// The same job list the children will build from `sweep_args`.
-    /// Keys and config hashes must match what the children compute,
-    /// or poison records will not quarantine and coverage will
-    /// misreport.
-    pub jobs: Vec<SweepJob>,
     /// Number of shard processes (`N` in `--shard i/N`).
     pub shards: u32,
 }
 
-/// Supervision knobs for [`dispatch_fleet`].
+/// Supervision knobs for [`Fleet`].
 #[derive(Debug, Clone)]
 pub struct DispatchOptions {
     /// Declare a shard wedged — kill and restart it — when its
@@ -99,21 +99,13 @@ pub struct DispatchOptions {
     /// doubling capped at ×64.
     pub restart_backoff: Duration,
     /// Shard deaths blamed on one in-flight job before the supervisor
-    /// quarantines it as poisoned (the issue's "dies twice" rule).
+    /// quarantines it as poisoned (by default, a job that kills its
+    /// shard twice).
     pub poison_threshold: u32,
     /// Per-shard-process memory limit in bytes, enforced at the
     /// process boundary (cgroup-v2 `memory.max` when available, else
     /// supervisor-polled RSS). `None` = unlimited.
     pub mem_limit: Option<u64>,
-    /// Supervisor poll interval (progress drain, liveness, wedge and
-    /// RSS checks).
-    pub poll: Duration,
-    /// Directory for shard journals, progress streams and child logs.
-    /// Created if missing. Reusing a workdir resumes its journals.
-    pub workdir: PathBuf,
-    /// Where to write the merged journal (default:
-    /// `workdir/merged.jsonl`).
-    pub merged_journal: Option<PathBuf>,
     /// Supervisor log sink, one line per call. A fn pointer (like
     /// `SweepOptions::sleeper`) so the options stay `Clone` + `Debug`;
     /// the CLI logs to stderr, tests capture into a static.
@@ -128,9 +120,6 @@ impl Default for DispatchOptions {
             restart_backoff: Duration::from_millis(500),
             poison_threshold: 2,
             mem_limit: None,
-            poll: Duration::from_millis(50),
-            workdir: PathBuf::from("."),
-            merged_journal: None,
             log: log_to_stderr,
         }
     }
@@ -212,95 +201,15 @@ pub struct ShardSummary {
     pub stream_gaps: u64,
 }
 
-/// End-of-fleet summary: per-shard supervision history plus coverage
-/// of the full job list in the merged journal.
-#[derive(Debug, Clone)]
-pub struct FleetReport {
-    /// Per-shard outcomes, by shard index.
-    pub shards: Vec<ShardSummary>,
-    /// Shard-journal merge statistics (`None` if the merge failed).
-    pub merge: Option<MergeStats>,
-    /// Why the merge failed, when it did.
-    pub merge_error: Option<String>,
-    /// Where the merged journal was written.
-    pub merged_journal: PathBuf,
-    /// Jobs whose latest merged record is `ok` or `skipped`.
-    pub ok: usize,
-    /// Jobs whose latest merged record is `failed`.
-    pub failed: usize,
-    /// The failed jobs that were poison-quarantined, by key.
-    pub poisoned: Vec<String>,
-    /// Jobs with no merged record at all (a shard gave up before
-    /// reaching them).
-    pub missing: Vec<String>,
-}
-
-impl FleetReport {
-    /// The fleet's process exit code, mirroring `dtexl sweep`: `0`
-    /// every job ok, `2` completed with failed (incl. poisoned) jobs,
-    /// `1` supervision failure (a shard gave up, jobs are missing, or
-    /// the merge failed).
-    #[must_use]
-    pub fn exit_code(&self) -> u8 {
-        let gave_up = self
-            .shards
-            .iter()
-            .any(|s| s.outcome == ShardOutcome::GaveUp);
-        if gave_up || !self.missing.is_empty() || self.merge.is_none() {
-            1
-        } else if self.failed > 0 {
-            2
-        } else {
-            0
-        }
-    }
-
-    /// Multi-line human summary: fleet coverage, then one line per
-    /// shard with restarts and deaths.
-    #[must_use]
-    pub fn summary(&self) -> String {
-        use std::fmt::Write as _;
-        let total = self.ok + self.failed + self.missing.len();
-        let mut s = format!(
-            "fleet: {}/{} jobs ok, {} failed ({} poisoned), {} missing",
-            self.ok,
-            total,
-            self.failed,
-            self.poisoned.len(),
-            self.missing.len()
-        );
-        if let Some(err) = &self.merge_error {
-            let _ = write!(s, "\n  merge failed: {err}");
-        }
-        for sh in &self.shards {
-            let outcome = match &sh.outcome {
-                ShardOutcome::Completed { code } => format!("completed (exit {code})"),
-                ShardOutcome::GaveUp => "gave up".into(),
-            };
-            let _ = write!(
-                s,
-                "\n  shard {}: {outcome}, {} restart(s)",
-                sh.shard, sh.restarts
-            );
-            for d in &sh.deaths {
-                let _ = write!(s, "\n    death: {d}");
-            }
-        }
-        for key in &self.poisoned {
-            let _ = write!(s, "\n  poisoned: {key}");
-        }
-        s
-    }
-}
-
 /// Tail-side view of one child incarnation's progress stream: which
 /// jobs are in flight (blame candidates), the freshest allocator
 /// peak, and stream-integrity counters.
 #[derive(Debug, Default)]
 struct StreamTracker {
     /// Jobs with an `attempt`/`heartbeat` but no `done` yet, mapped to
-    /// the latest attempt number seen.
-    in_flight: BTreeMap<String, u64>,
+    /// the config hash the child reported for them (`None` on streams
+    /// that predate the field).
+    in_flight: BTreeMap<String, Option<u64>>,
     /// Next expected `seq` (gap detection).
     next_seq: u64,
     /// Sequence gaps observed (lost or reordered lines).
@@ -332,7 +241,7 @@ impl StreamTracker {
             // `attempt` marks real execution; a heartbeat implies it
             // too (covers a lost attempt line).
             "attempt" | "heartbeat" => {
-                self.in_flight.insert(line.key.clone(), line.attempt);
+                self.in_flight.insert(line.key.clone(), line.config_hash);
             }
             "done" => {
                 self.in_flight.remove(&line.key);
@@ -393,31 +302,6 @@ struct ShardState {
     stream_gaps: u64,
 }
 
-/// A status-endpoint snapshot of one shard slot — everything the
-/// daemon's status document reports per shard, extracted in one place
-/// so the supervision internals stay private to this module.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ShardView {
-    /// Shard index.
-    pub index: u32,
-    /// State-machine phase: `pending`, `healthy`, `completed`,
-    /// `gave_up`.
-    pub phase: &'static str,
-    /// The live child's pid, when one is running.
-    pub pid: Option<u32>,
-    /// Re-spawns consumed so far.
-    pub restarts: u32,
-    /// Every death recorded, rendered human-readable, in order.
-    pub deaths: Vec<String>,
-    /// Keys currently in flight on the live incarnation.
-    pub in_flight: Vec<String>,
-    /// Largest allocator peak seen on the live incarnation's stream.
-    pub peak_alloc_bytes: u64,
-    /// Milliseconds of restart backoff still to wait (0 unless
-    /// pending).
-    pub backoff_ms: u64,
-}
-
 /// Coverage of a job list against the latest merged journal entries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Coverage {
@@ -431,8 +315,8 @@ pub(crate) struct Coverage {
     pub missing: Vec<String>,
 }
 
-/// Audit a key set against a latest-entry lookup (shared between the
-/// one-shot fleet's end-of-run report and the daemon's live status).
+/// Audit a key set against a latest-entry lookup (the daemon's live
+/// status and its end-of-run report).
 pub(crate) fn audit_coverage<'a, K, F>(keys: K, lookup: F) -> Coverage
 where
     K: IntoIterator<Item = &'a String>,
@@ -456,35 +340,24 @@ where
 
 /// A supervised fleet of shard processes, one tick at a time.
 ///
-/// [`dispatch_fleet`] owns the classic one-shot loop (tick until
-/// settled, then merge); the daemon drives the same machine manually
-/// so it can interleave spool ingestion, live merging and status
-/// publication between ticks, and revive workers that exit while the
-/// queue is still open.
+/// The daemon drives the machine so it can interleave spool
+/// ingestion, live merging and status publication between ticks, and
+/// revive workers that exit while the queue is still open.
 pub(crate) struct Fleet {
     spec: FleetSpec,
-    /// key → (index, config_hash) over every job the fleet knows
-    /// about; poison records must carry the same hash the child would
-    /// have journaled, or the child's resume pass will not honor the
-    /// quarantine.
-    key_info: BTreeMap<String, (usize, u64)>,
+    /// Where shard journals, progress streams and child logs live.
+    root: PathBuf,
+    /// Every job key the fleet knows about (coverage is audited over
+    /// these).
+    keys: BTreeSet<String>,
     shards: Vec<ShardState>,
 }
 
 impl Fleet {
-    /// Build the shard slots (workdir created, nothing spawned yet).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying I/O error when the workdir cannot be
-    /// created.
-    pub fn new(spec: FleetSpec, opts: &DispatchOptions) -> std::io::Result<Self> {
+    /// Build the shard slots over the spool's shard journals (nothing
+    /// spawned yet).
+    pub(crate) fn new(spec: FleetSpec, spool: &Spool) -> Self {
         let shard_count = spec.shards.max(1);
-        std::fs::create_dir_all(&opts.workdir)?;
-        let mut key_info: BTreeMap<String, (usize, u64)> = BTreeMap::new();
-        for (index, job) in spec.jobs.iter().enumerate() {
-            key_info.insert(job.key(), (index, job.config_hash()));
-        }
         let mut shards: Vec<ShardState> = Vec::with_capacity(shard_count as usize);
         for index in 0..shard_count {
             let shard = match Shard::new(index, shard_count) {
@@ -495,7 +368,7 @@ impl Fleet {
             };
             shards.push(ShardState {
                 shard,
-                journal: opts.workdir.join(format!("shard-{index}.jsonl")),
+                journal: spool.shard_journal(index),
                 phase: Phase::Pending { at: Instant::now() },
                 incarnations: 0,
                 restarts: 0,
@@ -505,27 +378,20 @@ impl Fleet {
                 stream_gaps: 0,
             });
         }
-        Ok(Self {
+        Self {
             spec,
-            key_info,
+            root: spool.root().to_path_buf(),
+            keys: BTreeSet::new(),
             shards,
-        })
+        }
     }
 
-    /// Register newly accepted jobs (daemon spool ingest). Returns how
-    /// many were new to the fleet; already-known keys are ignored.
-    pub fn extend_jobs(&mut self, jobs: &[SweepJob]) -> usize {
-        let mut added = 0;
-        for job in jobs {
-            let key = job.key();
-            if !self.key_info.contains_key(&key) {
-                let index = self.spec.jobs.len();
-                self.key_info.insert(key, (index, job.config_hash()));
-                self.spec.jobs.push(*job);
-                added += 1;
-            }
-        }
-        added
+    /// Register job keys (daemon spool ingest). Returns how many were
+    /// new to the fleet; already-known keys are ignored.
+    pub(crate) fn extend_keys(&mut self, keys: impl IntoIterator<Item = String>) -> usize {
+        let before = self.keys.len();
+        self.keys.extend(keys);
+        self.keys.len() - before
     }
 
     /// Advance every shard slot by one supervision tick. Returns
@@ -535,10 +401,10 @@ impl Fleet {
     ///
     /// Returns the underlying I/O error when a child cannot be spawned
     /// or a poison record cannot be journaled.
-    pub fn tick(&mut self, opts: &DispatchOptions) -> std::io::Result<bool> {
+    pub(crate) fn tick(&mut self, opts: &DispatchOptions) -> std::io::Result<bool> {
         let mut settled = true;
         for state in &mut self.shards {
-            step_shard(state, &self.spec, opts, &self.key_info)?;
+            step_shard(state, &self.spec, &self.root, opts)?;
             settled &= matches!(state.phase, Phase::Completed { .. } | Phase::GaveUp);
         }
         Ok(settled)
@@ -548,7 +414,7 @@ impl Fleet {
     /// worker that exited cleanly goes back to pending for a fresh
     /// incarnation. Not a restart — nothing died; the slot is revived
     /// because more work can still arrive. Gave-up slots stay down.
-    pub fn revive_completed(&mut self, opts: &DispatchOptions) {
+    pub(crate) fn revive_completed(&mut self, opts: &DispatchOptions) {
         let log = opts.log;
         for state in &mut self.shards {
             if let Phase::Completed { code } = state.phase {
@@ -562,17 +428,18 @@ impl Fleet {
     }
 
     /// Every shard's journal path (existing or not).
-    pub fn journals(&self) -> Vec<PathBuf> {
+    pub(crate) fn journals(&self) -> Vec<PathBuf> {
         self.shards.iter().map(|s| s.journal.clone()).collect()
     }
 
-    /// The fleet's key → (index, config_hash) map.
-    pub fn key_info(&self) -> &BTreeMap<String, (usize, u64)> {
-        &self.key_info
+    /// Every job key the fleet knows about.
+    pub(crate) fn keys(&self) -> &BTreeSet<String> {
+        &self.keys
     }
 
-    /// Status-endpoint snapshots, one per shard slot.
-    pub fn views(&self) -> Vec<ShardView> {
+    /// Status-document rows, one per shard slot (the supervision
+    /// internals stay private to this module).
+    pub(crate) fn views(&self) -> Vec<ShardStatus> {
         self.shards
             .iter()
             .map(|s| {
@@ -594,9 +461,9 @@ impl Fleet {
                     Phase::Completed { .. } => ("completed", None, Vec::new(), 0, 0),
                     Phase::GaveUp => ("gave_up", None, Vec::new(), 0, 0),
                 };
-                ShardView {
+                ShardStatus {
                     index: s.shard.index,
-                    phase,
+                    phase: phase.into(),
                     pid,
                     restarts: s.restarts,
                     deaths: s.deaths.iter().map(ToString::to_string).collect(),
@@ -609,7 +476,7 @@ impl Fleet {
     }
 
     /// Consume the fleet into per-shard supervision summaries.
-    pub fn into_summaries(self) -> Vec<ShardSummary> {
+    pub(crate) fn into_summaries(self) -> Vec<ShardSummary> {
         self.shards
             .into_iter()
             .map(|s| ShardSummary {
@@ -626,85 +493,19 @@ impl Fleet {
     }
 }
 
-/// Spawn, supervise, restart and merge a fleet of shard processes.
-///
-/// Blocks until every shard completes or gives up, then merges the
-/// shard journals and audits coverage. Simulation failures, poison
-/// quarantines and gave-up shards are reported in the [`FleetReport`]
-/// (see [`FleetReport::exit_code`]); `Err` is reserved for supervisor
-/// I/O problems (workdir creation, spawn failures, journal append).
-///
-/// # Errors
-///
-/// Returns the underlying I/O error when the workdir cannot be
-/// created, a child cannot be spawned, or a poison record cannot be
-/// journaled.
-pub fn dispatch_fleet(spec: &FleetSpec, opts: &DispatchOptions) -> std::io::Result<FleetReport> {
-    let log = opts.log;
-    let mut fleet = Fleet::new(spec.clone(), opts)?;
-    while !fleet.tick(opts)? {
-        std::thread::sleep(opts.poll);
-    }
-
-    // Merge the shard journals through the same last-wins path as
-    // `dtexl sweep merge`.
-    let merged_path = opts
-        .merged_journal
-        .clone()
-        .unwrap_or_else(|| opts.workdir.join("merged.jsonl"));
-    let inputs: Vec<PathBuf> = fleet
-        .journals()
-        .into_iter()
-        .filter(|p| p.exists())
-        .collect();
-    let (merge, merge_error) = match merge_journals(&inputs, &merged_path) {
-        Ok(stats) => (Some(stats), None),
-        Err(e) => (None, Some(e.to_string())),
-    };
-    if let Some(err) = &merge_error {
-        log(&format!("dispatch: journal merge failed: {err}"));
-    }
-
-    // Coverage audit over the supervisor's own job list.
-    let merged_text = std::fs::read_to_string(&merged_path).unwrap_or_default();
-    let latest = latest_entries(&merged_text);
-    let total = fleet.key_info().len();
-    let cov = audit_coverage(fleet.key_info().keys(), |k| latest.get(k));
-
-    let report = FleetReport {
-        shards: fleet.into_summaries(),
-        merge,
-        merge_error,
-        merged_journal: merged_path,
-        ok: cov.ok,
-        failed: cov.failed,
-        poisoned: cov.poisoned,
-        missing: cov.missing,
-    };
-    log(&format!(
-        "dispatch: fleet done: {}/{} ok, {} failed, {} missing (exit {})",
-        report.ok,
-        total,
-        report.failed,
-        report.missing.len(),
-        report.exit_code()
-    ));
-    Ok(report)
-}
-
 /// Advance one shard slot by one supervision tick.
 fn step_shard(
     state: &mut ShardState,
     spec: &FleetSpec,
+    root: &Path,
     opts: &DispatchOptions,
-    key_info: &BTreeMap<String, (usize, u64)>,
 ) -> std::io::Result<()> {
     let log = opts.log;
     match &mut state.phase {
         Phase::Completed { .. } | Phase::GaveUp => {}
         Phase::Pending { at } => {
             if Instant::now() >= *at {
-                let running = spawn_shard(state, spec, opts)?;
+                let running = spawn_shard(state, spec, root, opts)?;
                 state.phase = Phase::Running(Box::new(running));
             }
         }
@@ -734,7 +535,7 @@ fn step_shard(
                             ));
                             state.phase = Phase::Completed { code };
                         }
-                        Err(cause) => handle_death(state, cause, opts, key_info)?,
+                        Err(cause) => handle_death(state, cause, opts)?,
                     }
                 }
                 None => {
@@ -784,6 +585,7 @@ fn kill_and_reap(running: &mut RunningShard, cause: DeathCause) {
 fn spawn_shard(
     state: &mut ShardState,
     spec: &FleetSpec,
+    root: &Path,
     opts: &DispatchOptions,
 ) -> std::io::Result<RunningShard> {
     let log = opts.log;
@@ -791,7 +593,7 @@ fn spawn_shard(
     let incarnation = state.incarnations;
     // A fresh progress file per incarnation: restarts never truncate a
     // stream the supervisor is mid-tail in.
-    let progress_path = opts.workdir.join(format!(
+    let progress_path = root.join(format!(
         "shard-{}.run-{incarnation}.progress.jsonl",
         state.shard.index
     ));
@@ -801,10 +603,10 @@ fn spawn_shard(
     // Child stdout/stderr land in an append-only per-shard log, so
     // crashes stay debuggable without entangling the supervisor's own
     // stderr.
-    let child_log = std::fs::OpenOptions::new().create(true).append(true).open(
-        opts.workdir
-            .join(format!("shard-{}.log", state.shard.index)),
-    )?;
+    let child_log = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(root.join(format!("shard-{}.log", state.shard.index)))?;
     let child_log_err = child_log.try_clone()?;
 
     let mut cmd = Command::new(&spec.program);
@@ -861,15 +663,14 @@ fn handle_death(
     state: &mut ShardState,
     cause: DeathCause,
     opts: &DispatchOptions,
-    key_info: &BTreeMap<String, (usize, u64)>,
 ) -> std::io::Result<()> {
     let log = opts.log;
-    let in_flight: Vec<(String, u64)> = match &state.phase {
+    let in_flight: Vec<(String, Option<u64>)> = match &state.phase {
         Phase::Running(r) => r
             .tracker
             .in_flight
             .iter()
-            .map(|(k, a)| (k.clone(), *a))
+            .map(|(k, h)| (k.clone(), *h))
             .collect(),
         _ => Vec::new(),
     };
@@ -878,20 +679,23 @@ fn handle_death(
         state.shard,
         in_flight.len()
     ));
-    for (key, _attempt) in &in_flight {
+    for (key, config_hash) in &in_flight {
         let blame = state.blame.entry(key.clone()).or_insert(0);
         *blame += 1;
         if *blame >= opts.poison_threshold && !state.poisoned.contains(key) {
-            let Some(&(index, config_hash)) = key_info.get(key) else {
+            // The child's resume pass honours the quarantine only at the
+            // hash it computes itself, which is the one it reported.
+            let Some(config_hash) = *config_hash else {
                 log(&format!(
-                    "dispatch: cannot quarantine unknown job key {key} (not in the fleet's \
-                     job list)"
+                    "dispatch: cannot quarantine job {key} (its progress events carry no \
+                     config hash)"
                 ));
                 continue;
             };
             let deaths = *blame;
             let record = JobRecord {
-                index,
+                // Not journaled; the key identifies the job.
+                index: 0,
                 key: key.clone(),
                 status: JobStatus::Failed,
                 attempts: deaths,
@@ -990,8 +794,8 @@ fn classify_exit(
         None => {
             // Signal exit the supervisor did not inflict. A kill
             // signal with the last heartbeat's allocator peak at the
-            // limit is the kernel OOM killer's signature (the issue's
-            // "exit status + last heartbeat peak_alloc_bytes" rule).
+            // limit is the kernel OOM killer's signature (exit status
+            // plus the last heartbeat's `peak_alloc_bytes`).
             let sig = exit_signal(status);
             if mem_limit.is_some_and(|limit| last_peak >= limit) {
                 return Err(DeathCause::OomKilled {
@@ -1089,6 +893,7 @@ mod tests {
             status: None,
             top_stall: None,
             dram_requests: None,
+            config_hash: Some(0xabc0 + seq),
         }
     }
 
@@ -1099,12 +904,14 @@ mod tests {
         assert!(t.in_flight.is_empty(), "start alone is not execution");
         t.observe(&line("attempt", "a", 1, 7), 7);
         assert_eq!(t.in_flight.len(), 1);
+        assert_eq!(t.in_flight["a"], Some(0xabc1), "the child-reported hash");
         t.observe(&line("heartbeat", "a", 2, 7), 7);
+        assert_eq!(t.in_flight["a"], Some(0xabc2), "the latest report wins");
         t.observe(&line("attempt", "b", 3, 7), 7);
         assert_eq!(t.in_flight.len(), 2);
         t.observe(&line("done", "a", 4, 7), 7);
         assert_eq!(t.in_flight.len(), 1);
-        assert!(t.in_flight.contains_key("b"));
+        assert_eq!(t.in_flight.get("b"), Some(&Some(0xabc3)));
         assert_eq!(t.gaps, 0);
     }
 
@@ -1189,52 +996,6 @@ mod tests {
             classify_exit(&status, None, false, 100, Some(512)),
             Err(DeathCause::Crashed { .. })
         ));
-    }
-
-    #[test]
-    fn fleet_report_exit_codes_mirror_the_sweep() {
-        let base = FleetReport {
-            shards: vec![ShardSummary {
-                shard: Shard::new(0, 1).expect("valid shard"),
-                restarts: 0,
-                deaths: Vec::new(),
-                outcome: ShardOutcome::Completed { code: 0 },
-                stream_gaps: 0,
-            }],
-            merge: Some(MergeStats::default()),
-            merge_error: None,
-            merged_journal: PathBuf::from("merged.jsonl"),
-            ok: 4,
-            failed: 0,
-            poisoned: Vec::new(),
-            missing: Vec::new(),
-        };
-        assert_eq!(base.exit_code(), 0);
-        let with_failures = FleetReport {
-            failed: 1,
-            poisoned: vec!["k".into()],
-            ..base.clone()
-        };
-        assert_eq!(with_failures.exit_code(), 2);
-        let gave_up = FleetReport {
-            shards: vec![ShardSummary {
-                outcome: ShardOutcome::GaveUp,
-                ..base.shards[0].clone()
-            }],
-            ..base.clone()
-        };
-        assert_eq!(gave_up.exit_code(), 1);
-        let missing = FleetReport {
-            missing: vec!["k".into()],
-            ..base.clone()
-        };
-        assert_eq!(missing.exit_code(), 1);
-        let merge_failed = FleetReport {
-            merge: None,
-            merge_error: Some("divergent".into()),
-            ..base
-        };
-        assert_eq!(merge_failed.exit_code(), 1);
     }
 
     #[test]

@@ -875,6 +875,11 @@ pub struct Progress {
     /// The job's total DRAM requests, on `done` events of
     /// rollup-probed runs.
     pub dram_requests: Option<u64>,
+    /// The job's [`SweepJob::config_hash`], the hash its journal record
+    /// carries: a fleet supervisor stamps poison records with it
+    /// instead of rebuilding the job. 0 on [`ProgressKind::Idle`]
+    /// beats, which render without it.
+    pub config_hash: u64,
 }
 
 impl Progress {
@@ -891,6 +896,9 @@ impl Progress {
             self.peak_alloc_bytes
         );
         use std::fmt::Write as _;
+        if self.kind != ProgressKind::Idle {
+            let _ = write!(s, ",\"config_hash\":\"{:016x}\"", self.config_hash);
+        }
         if let Some(shard) = self.shard {
             let _ = write!(s, ",\"shard\":\"{shard}\"");
         }
@@ -941,6 +949,9 @@ pub struct ProgressLine {
     pub top_stall: Option<String>,
     /// Total DRAM requests, on `done` events of `--with-obs` runs.
     pub dram_requests: Option<u64>,
+    /// The job's config hash as the emitter computed it (`None` on
+    /// idle beats and on streams that predate the field).
+    pub config_hash: Option<u64>,
 }
 
 /// Parse one progress JSONL line; `None` for blank, truncated or
@@ -964,6 +975,7 @@ pub fn parse_progress_line(line: &str) -> Option<ProgressLine> {
         status: field_str(line, "status"),
         top_stall: field_str(line, "top_stall"),
         dram_requests: field_u64(line, "dram_requests"),
+        config_hash: field_str(line, "config_hash").and_then(|h| u64::from_str_radix(&h, 16).ok()),
     })
 }
 
@@ -1369,6 +1381,7 @@ where
                             status,
                             top_stall: obs.map(|(top, _)| top.to_string()),
                             dram_requests: obs.map(|(_, dram)| dram),
+                            config_hash,
                         });
                     }
                 };
@@ -2818,12 +2831,13 @@ mod tests {
             status: None,
             top_stall: None,
             dram_requests: None,
+            config_hash: 0x00c0_ffee,
         };
         assert_eq!(
             p.to_json(),
             "{\"event\":\"heartbeat\",\"key\":\"CCS|x|base|96x64#0\",\"index\":3,\
              \"attempt\":2,\"elapsed_ms\":12,\"peak_alloc_bytes\":4096,\
-             \"pid\":4242,\"seq\":17}"
+             \"config_hash\":\"0000000000c0ffee\",\"pid\":4242,\"seq\":17}"
         );
         let done = Progress {
             kind: ProgressKind::Done,
@@ -2855,6 +2869,7 @@ mod tests {
             status: Some(JobStatus::Failed),
             top_stall: Some("d-upstream".into()),
             dram_requests: Some(42),
+            config_hash: 0xfeed_0000_0000_beef,
         };
         let parsed = parse_progress_line(&p.to_json()).expect("round trip");
         assert_eq!(parsed.event, "done");
@@ -2869,6 +2884,19 @@ mod tests {
         assert_eq!(parsed.status.as_deref(), Some("failed"));
         assert_eq!(parsed.top_stall.as_deref(), Some("d-upstream"));
         assert_eq!(parsed.dram_requests, Some(42));
+        assert_eq!(parsed.config_hash, Some(0xfeed_0000_0000_beef));
+        // Idle beats carry no job, so no hash.
+        let idle = Progress {
+            kind: ProgressKind::Idle,
+            key: String::new(),
+            config_hash: 0,
+            ..p
+        };
+        assert!(!idle.to_json().contains("config_hash"));
+        assert_eq!(
+            parse_progress_line(&idle.to_json()).map(|l| l.config_hash),
+            Some(None)
+        );
         // Truncated / corrupt lines parse to None, like journal lines.
         assert_eq!(parse_progress_line(""), None);
         assert_eq!(parse_progress_line("{\"event\":\"done\",\"key\":\"x"), None);
@@ -2881,6 +2909,7 @@ mod tests {
         assert_eq!(old.pid, None);
         assert_eq!(old.seq, None);
         assert_eq!(old.shard, None);
+        assert_eq!(old.config_hash, None);
     }
 
     /// One test owns the static collector: progress events are pinned
@@ -2945,6 +2974,14 @@ mod tests {
             .unwrap();
         assert_eq!(w_done.status, Some(JobStatus::Failed));
         assert_eq!(w_done.attempt, 2);
+        assert!(
+            EVENTS
+                .lock()
+                .iter()
+                .filter(|p| p.key == wedged.key())
+                .all(|p| p.config_hash == wedged.config_hash()),
+            "every event carries the job's own config hash"
+        );
 
         let h = kinds(&healthy.key());
         assert_eq!(h.first(), Some(&ProgressKind::Start));

@@ -199,13 +199,6 @@ pub const ALLOWLIST: &[BuiltinAllow] = &[
                  bit-identical regardless of supervision timing \
                  (pinned by crates/cli/tests/dispatch_resilience.rs)",
     },
-    BuiltinAllow {
-        path_suffix: "crates/core/src/dispatch.rs",
-        rule: "determinism-clock",
-        needle: "thread::sleep",
-        reason: "fleet supervisor poll loop: paces liveness checks of real child processes; \
-                 no simulated state on this thread",
-    },
 ];
 
 /// How a file is treated by the pattern rules.
