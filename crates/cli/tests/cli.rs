@@ -379,9 +379,10 @@ fn sweep_rejects_bad_shard_specs_and_merge_without_out() {
 
 #[test]
 fn job_mem_budget_fails_hungry_jobs_with_a_typed_error() {
-    // 1 MB budget: even a small frame's working set exceeds it, so the
-    // job fails with the mem_budget error kind and exit code 2
-    // (completed with failures), not a crash.
+    // 1 MB budget: a 480×192 frame's working set (about 3.7 MiB)
+    // exceeds it, so the job fails with the mem_budget error kind and
+    // exit code 2 (completed with failures), not a crash. (A 128×64
+    // frame peaks at 0.9 MiB with the compact frame prefix.)
     let out = dtexl(&[
         "sweep",
         "--games",
@@ -389,7 +390,7 @@ fn job_mem_budget_fails_hungry_jobs_with_a_typed_error() {
         "--schedules",
         "baseline",
         "--res",
-        "128x64",
+        "480x192",
         "--keep-going",
         "--job-mem-budget",
         "1",

@@ -31,7 +31,7 @@ pub enum BarrierMode {
 /// private texture L1s, 1 MiB shared L2, 50–100-cycle DRAM.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
-    /// Tile side in pixels (Table II: 32).
+    /// Tile side in pixels (Table II: 32): even, at most 512.
     pub tile_size: u32,
     /// Number of parallel raster pipelines / shader cores (4).
     pub num_sc: usize,
@@ -135,6 +135,12 @@ impl PipelineConfig {
                 self.tile_size
             )));
         }
+        if self.tile_size > 512 {
+            return Err(SimError::Config(format!(
+                "tile size {} exceeds 512: a tile-local quad position must fit one byte per axis",
+                self.tile_size
+            )));
+        }
         if self.num_sc != 4 {
             return Err(SimError::Config(format!(
                 "num_sc = {} is unsupported: the modeled raster pipeline has exactly 4 \
@@ -207,6 +213,22 @@ mod tests {
             err.to_string().contains("num_sc = 8"),
             "error names the value: {err}"
         );
+    }
+
+    #[test]
+    fn tiles_over_512_pixels_are_a_config_error() {
+        // A tile-local quad position packs into one byte per axis.
+        let at = |tile_size| {
+            PipelineConfig {
+                tile_size,
+                ..PipelineConfig::default()
+            }
+            .validate()
+        };
+        assert!(at(512).is_ok());
+        let err = at(514).unwrap_err();
+        assert!(matches!(err, SimError::Config(_)));
+        assert!(err.to_string().contains("tile size 514"), "{err}");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 use crate::config::{BarrierMode, PipelineConfig};
 use crate::error::SimError;
 use crate::geometry::GeometryStats;
-use crate::prefix::FramePrefix;
+use crate::prefix::{unpack_pos, FramePrefix};
 use crate::shade::{ShaderCore, ShaderCoreStats};
 use crate::tiling::TilingStats;
 use crate::timing::{compose_frame, StageDurations};
@@ -403,15 +403,16 @@ impl FrameSim {
                 tile: (tx, ty),
                 ..TileRecord::default()
             };
-            for &(qx, qy) in &prefix.rast_pos[span(tp.rast)] {
+            for &pos in &prefix.rast_pos[span(tp.rast)] {
+                let (qx, qy) = unpack_pos(pos);
                 rec.quads_rasterized[tsched.sc_of_quad(ti, qx, qy, qps, qps)] += 1;
             }
             for b in &mut buckets {
                 b.clear();
             }
             for qi in tp.surv.0..tp.surv.1 {
-                let q = &prefix.quads[qi as usize];
-                buckets[tsched.sc_of_quad(ti, q.qx, q.qy, qps, qps)].push(qi);
+                let (qx, qy) = unpack_pos(prefix.quads[qi as usize].pos);
+                buckets[tsched.sc_of_quad(ti, qx, qy, qps, qps)].push(qi);
             }
             let mut sc = [(0u32, 0u32); 4];
             for (r, b) in sc.iter_mut().zip(&buckets) {
@@ -572,6 +573,7 @@ struct LegTile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dtexl_mem::LineAddr;
     use dtexl_scene::{Game, SceneSpec};
 
     fn small_result(schedule: ScheduleConfig) -> FrameResult {
@@ -655,7 +657,8 @@ mod tests {
             };
             assert!(!build.hierarchy.prefetch_next_line);
             let prefix = FramePrefix::build(&scene, &build, 100, 50).unwrap();
-            let footprint: std::collections::BTreeSet<_> = prefix.lines.iter().collect();
+            let footprint: std::collections::BTreeSet<LineAddr> =
+                prefix.lines.iter().map(|&l| LineAddr::from(l)).collect();
             assert!(footprint.len() > 100, "frame must touch texture");
             for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
                 let r = FrameSim::try_run_prefixed(&prefix, &schedule, &build).unwrap();

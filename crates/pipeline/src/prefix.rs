@@ -23,6 +23,16 @@
 //! history, the DRAM latencies (hashed from the *global* request
 //! index) and the warp-model timing — changes with the schedule and is
 //! recomputed per leg from these arenas.
+//!
+//! The arenas hold only what a leg reads, at the width the data needs:
+//! 2 bytes per rasterized quad (its tile-local position), 8 per
+//! survivor ([`PrepQuad`]) and 4 per footprint line. `build` rejects
+//! with a typed [`SimError`] whatever would not fit: tiles over 512 px
+//! (`PipelineConfig::validate`), texture lines at or past 2^32, and
+//! more than 65,536 distinct shader profiles. The arenas grow by
+//! doubling and are shrunk once at the end; that overshoot sets the
+//! build's peak about as high as the retained prefix plus a leg does,
+//! so exact-size arenas would not lower a sweep job's peak.
 
 use crate::config::PipelineConfig;
 use crate::error::SimError;
@@ -33,28 +43,74 @@ use crate::shade::PreparedQuad;
 use crate::tiling::{TilingEngine, TilingStats};
 use crate::zbuffer::ZBuffer;
 use dtexl_gmath::Rect;
-use dtexl_mem::LineAddr;
-use dtexl_scene::Scene;
+use dtexl_mem::{line_of, LineAddr};
+use dtexl_scene::{Scene, ShaderProfile};
 use dtexl_texture::{Sampler, TextureDesc};
+use std::collections::BTreeMap;
 
 /// A post-early-Z survivor quad, reduced to what the fragment stage
-/// actually consumes: its position (for the schedule's quad→SC
-/// partition), its shader-profile scalars and its footprint range in
-/// the line arena. Roughly a third the size of a full [`Quad`].
+/// reads: its tile-local position (for the schedule's quad→SC
+/// partition), its shader profile and the end of its footprint in the
+/// line arena. Its footprint starts where the previous survivor's
+/// ends, so a survivor takes 8 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrepQuad {
-    /// Quad x position in screen quads.
-    pub(crate) qx: u32,
-    /// Quad y position in screen quads.
-    pub(crate) qy: u32,
-    /// Issue-port slots (`shader.issue_slots()`).
-    pub(crate) issue: u32,
-    /// ALU instructions.
-    pub(crate) alu_ops: u32,
-    /// Texture sample instructions.
-    pub(crate) tex_samples: u32,
-    /// `lines.0..lines.1` range in [`FramePrefix::lines`].
-    pub(crate) lines: (u32, u32),
+    /// End of this quad's range in [`FramePrefix::lines`]; the range
+    /// starts at the previous survivor's `line_end` (0 for the first).
+    pub(crate) line_end: u32,
+    /// Tile-local quad position, [`pack_pos`]ed.
+    pub(crate) pos: u16,
+    /// Index into [`FramePrefix::profiles`].
+    pub(crate) profile: u16,
+}
+
+/// Pack a tile-local quad position into one `u16`, one byte per axis
+/// (`PipelineConfig::validate` caps tiles at 512 px, 256 quads a side).
+fn pack_pos(qx: u32, qy: u32) -> u16 {
+    debug_assert!(qx < 256 && qy < 256, "tile-local quad ({qx}, {qy})");
+    (qy << 8 | qx) as u16
+}
+
+/// Inverse of [`pack_pos`]: `(qx, qy)` within the tile.
+pub(crate) fn unpack_pos(pos: u16) -> (u32, u32) {
+    (u32::from(pos & 0xff), u32::from(pos >> 8))
+}
+
+/// Reject a texture table whose line addresses do not all fit the
+/// `u32` line arena: checked once per table, so [`push_footprint`]
+/// narrows without a per-line check.
+pub(crate) fn check_line_width(textures: &[TextureDesc]) -> Result<(), SimError> {
+    for t in textures {
+        let last = t
+            .base_addr()
+            .checked_add(t.footprint_bytes())
+            .map_or(LineAddr::MAX, line_of);
+        if last > LineAddr::from(u32::MAX) {
+            return Err(SimError::Scene(format!(
+                "texture {} ends at line {last}, past the 32-bit line arena",
+                t.id()
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// Append the footprint of `quad` on its texture `tex` to the `u32`
+/// line arena `lines`, resolving it through `scratch`. `tex` must have
+/// passed [`check_line_width`]: this is the one place a line is
+/// narrowed.
+pub(crate) fn push_footprint(
+    quad: &Quad,
+    tex: &TextureDesc,
+    scratch: &mut Vec<LineAddr>,
+    lines: &mut Vec<u32>,
+) {
+    scratch.clear();
+    Sampler::new(quad.shader.filter).quad_footprint_into(tex, quad.uv, scratch);
+    lines.extend(scratch.iter().map(|&l| {
+        debug_assert!(u32::try_from(l).is_ok(), "line {l} past check_line_width");
+        l as u32
+    }));
 }
 
 /// Per-tile slice of the prefix arenas. Tile coordinates are implicit:
@@ -102,14 +158,19 @@ pub struct FramePrefix {
     pub(crate) tiles_h: u32,
     /// Per-tile arena slices, row-major (`ty * tiles_w + tx`).
     pub(crate) tiles: Vec<TilePrefix>,
-    /// `(qx, qy)` of every rasterized quad (pre early-Z) — the
-    /// schedule partitions these to count `quads_rasterized` per SC.
-    pub(crate) rast_pos: Vec<(u32, u32)>,
+    /// Tile-local [`pack_pos`]ed position of every rasterized quad
+    /// (pre early-Z) — the schedule partitions these to count
+    /// `quads_rasterized` per SC.
+    pub(crate) rast_pos: Vec<u16>,
     /// Early-Z survivor arena.
     pub(crate) quads: Vec<PrepQuad>,
+    /// The distinct `(alu_ops, tex_samples)` shader profiles of the
+    /// survivors, in first-use order; a quad's issue slots are their
+    /// sum ([`ShaderProfile::issue_slots`]).
+    pub(crate) profiles: Vec<(u32, u32)>,
     /// Flat texture-footprint arena ([`Sampler::quad_footprint`]
-    /// output, back to back).
-    pub(crate) lines: Vec<LineAddr>,
+    /// output, back to back), narrowed to `u32` by [`push_footprint`].
+    pub(crate) lines: Vec<u32>,
 }
 
 impl FramePrefix {
@@ -121,7 +182,9 @@ impl FramePrefix {
     ///
     /// Returns a [`SimError`] when the configuration or scene is
     /// invalid, exactly as [`crate::FrameSim::try_run_with_resolution`]
-    /// would.
+    /// would, and [`SimError::Scene`] when a texture's lines do not fit
+    /// the 32-bit line arena or the survivors carry more than 65,536
+    /// distinct shader profiles.
     pub fn build(
         scene: &Scene,
         config: &PipelineConfig,
@@ -141,6 +204,7 @@ impl FramePrefix {
                 });
             }
         }
+        check_line_width(&textures)?;
 
         // 1. Geometry phase.
         let mut geom = GeometryPipeline::new(config.vertex_cache);
@@ -166,9 +230,12 @@ impl FramePrefix {
         // of the sweep grid — don't pay a worst-case reservation in
         // peak allocation (the per-job high-water mark is a CI gate).
         let screen_quads = (width.div_ceil(2) as usize) * (height.div_ceil(2) as usize);
-        let mut rast_pos: Vec<(u32, u32)> = Vec::with_capacity(screen_quads / 2);
+        let mut rast_pos: Vec<u16> = Vec::with_capacity(screen_quads / 2);
         let mut quads: Vec<PrepQuad> = Vec::with_capacity(screen_quads / 2);
-        let mut lines: Vec<LineAddr> = Vec::with_capacity(screen_quads);
+        let mut lines: Vec<u32> = Vec::with_capacity(screen_quads);
+        let mut profiles: Vec<(u32, u32)> = Vec::new();
+        let mut profile_ids = BTreeMap::new();
+        let mut footprint: Vec<LineAddr> = Vec::new();
         let mut tile_quads: Vec<Quad> = Vec::new();
         for ty in 0..bins.tiles_h() {
             for tx in 0..bins.tiles_w() {
@@ -200,20 +267,18 @@ impl FramePrefix {
                 let rast_start = rast_pos.len() as u32;
                 let surv_start = quads.len() as u32;
                 for q in &tile_quads {
-                    rast_pos.push((q.qx, q.qy));
+                    let pos = pack_pos(q.qx, q.qy);
+                    rast_pos.push(pos);
                     let surviving = zbuf.test_and_update(q);
                     let shade_mask = if q.late_z { q.mask } else { surviving };
                     if shade_mask != 0 {
+                        let profile = profile_index(&mut profiles, &mut profile_ids, &q.shader)?;
                         let tex = &textures[q.texture as usize];
-                        let line_start = lines.len() as u32;
-                        Sampler::new(q.shader.filter).quad_footprint_into(tex, q.uv, &mut lines);
+                        push_footprint(q, tex, &mut footprint, &mut lines);
                         quads.push(PrepQuad {
-                            qx: q.qx,
-                            qy: q.qy,
-                            issue: q.shader.issue_slots(),
-                            alu_ops: q.shader.alu_ops,
-                            tex_samples: q.shader.tex_samples,
-                            lines: (line_start, lines.len() as u32),
+                            line_end: lines.len() as u32,
+                            pos,
+                            profile,
                         });
                     }
                 }
@@ -247,6 +312,7 @@ impl FramePrefix {
             tiles,
             rast_pos,
             quads,
+            profiles,
             lines,
         })
     }
@@ -258,9 +324,10 @@ impl FramePrefix {
         (size_of::<Self>()
             + self.textures.capacity() * size_of::<TextureDesc>()
             + self.tiles.capacity() * size_of::<TilePrefix>()
-            + self.rast_pos.capacity() * size_of::<(u32, u32)>()
+            + self.rast_pos.capacity() * size_of::<u16>()
             + self.quads.capacity() * size_of::<PrepQuad>()
-            + self.lines.capacity() * size_of::<LineAddr>()) as u64
+            + self.profiles.capacity() * size_of::<(u32, u32)>()
+            + self.lines.capacity() * size_of::<u32>()) as u64
     }
 
     /// Screen width in pixels the prefix was built for.
@@ -282,13 +349,127 @@ impl FramePrefix {
         indices: &'a [u32],
     ) -> impl Iterator<Item = PreparedQuad<'a>> + 'a {
         indices.iter().map(move |&qi| {
-            let q = &self.quads[qi as usize];
+            let qi = qi as usize;
+            let start = qi.checked_sub(1).map_or(0, |p| self.quads[p].line_end);
+            let q = &self.quads[qi];
+            let (alu_ops, tex_samples) = self.profiles[usize::from(q.profile)];
             PreparedQuad {
-                issue: q.issue,
-                alu_ops: q.alu_ops,
-                tex_samples: q.tex_samples,
-                lines: &self.lines[q.lines.0 as usize..q.lines.1 as usize],
+                alu_ops,
+                tex_samples,
+                lines: &self.lines[start as usize..q.line_end as usize],
             }
         })
+    }
+}
+
+/// The index of `shader`'s `(alu_ops, tex_samples)` in `profiles`,
+/// appending it on first use; `index` maps each profile to its place.
+fn profile_index(
+    profiles: &mut Vec<(u32, u32)>,
+    index: &mut BTreeMap<(u32, u32), u16>,
+    shader: &ShaderProfile,
+) -> Result<u16, SimError> {
+    let key = (shader.alu_ops, shader.tex_samples);
+    if let Some(&i) = index.get(&key) {
+        return Ok(i);
+    }
+    let i = u16::try_from(profiles.len()).map_err(|_| {
+        SimError::Scene(format!(
+            "more than {} distinct shader profiles in one frame",
+            1 << 16
+        ))
+    })?;
+    profiles.push(key);
+    index.insert(key, i);
+    Ok(i)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dtexl_gmath::{Mat4, Vec2, Vec3};
+    use dtexl_scene::{DepthMode, DrawCommand, Vertex, TEXTURE_BASE_ADDR};
+
+    /// `draws` late-Z draws of one triangle covering the whole `size`²
+    /// screen; draw `i` runs `i + 1` ALU ops, so each is its own shader
+    /// profile and every draw shades every quad.
+    fn stacked_scene(size: f32, draws: u32) -> Scene {
+        Scene {
+            textures: vec![TextureDesc::new(0, 64, 64, TEXTURE_BASE_ADDR)],
+            vertices: vec![
+                Vertex::new(Vec3::new(-1.0, -1.0, -1.0), Vec2::new(0.0, 0.0)),
+                Vertex::new(Vec3::new(3.0 * size, -1.0, -1.0), Vec2::new(1.0, 0.0)),
+                Vertex::new(Vec3::new(-1.0, 3.0 * size, -1.0), Vec2::new(0.0, 1.0)),
+            ],
+            draws: (0..draws)
+                .map(|i| DrawCommand {
+                    first_vertex: 0,
+                    vertex_count: 3,
+                    texture: 0,
+                    shader: ShaderProfile {
+                        alu_ops: i + 1,
+                        ..ShaderProfile::standard()
+                    },
+                    transform: Mat4::orthographic(0.0, size, size, 0.0, 0.1, 10.0),
+                    opaque: true,
+                    uv_scale: 1.0,
+                    depth_mode: DepthMode::Late,
+                })
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn positions_pack_one_byte_per_axis() {
+        for (qx, qy) in [(0, 0), (15, 3), (255, 255), (7, 200)] {
+            assert_eq!(unpack_pos(pack_pos(qx, qy)), (qx, qy));
+        }
+    }
+
+    #[test]
+    fn survivors_index_a_profile_table() {
+        let scene = stacked_scene(8.0, 3);
+        let prefix = FramePrefix::build(&scene, &PipelineConfig::default(), 8, 8).unwrap();
+        assert_eq!(prefix.profiles.len(), 3);
+        // 16 quads per draw; each survivor's footprint starts where the
+        // previous one's ends.
+        assert_eq!(prefix.quads.len(), 3 * 16);
+        let mut start = 0;
+        for (quad, shaded) in prefix.quads.iter().zip(prefix.prepared(&[0, 1, 2])) {
+            assert_eq!(shaded.lines.len() as u32, quad.line_end - start);
+            start = quad.line_end;
+        }
+        let last = prefix.prepared(&[47]).next().unwrap();
+        assert_eq!((last.alu_ops, last.tex_samples), prefix.profiles[2]);
+        assert_eq!(prefix.quads[47].line_end as usize, prefix.lines.len());
+    }
+
+    #[test]
+    fn textures_past_the_32_bit_line_arena_are_a_scene_error() {
+        let mut scene = stacked_scene(8.0, 1);
+        let config = PipelineConfig::default();
+        // The last line of a texture ending exactly at line 2^32 - 1
+        // still fits; one more line does not.
+        let footprint = TextureDesc::new(0, 64, 64, 0).footprint_bytes();
+        let fits = (u64::from(u32::MAX) << 6) - footprint;
+        scene.textures = vec![TextureDesc::new(0, 64, 64, fits)];
+        assert!(FramePrefix::build(&scene, &config, 8, 8).is_ok());
+        scene.textures = vec![TextureDesc::new(0, 64, 64, fits + 64)];
+        let err = FramePrefix::build(&scene, &config, 8, 8).unwrap_err();
+        assert!(matches!(err, SimError::Scene(_)), "{err}");
+        assert!(err.to_string().contains("32-bit line arena"), "{err}");
+    }
+
+    #[test]
+    fn more_than_65536_shader_profiles_are_a_scene_error() {
+        // One quad per draw on a 2×2 screen.
+        let config = PipelineConfig::default();
+        let mut scene = stacked_scene(2.0, 65_537);
+        let err = FramePrefix::build(&scene, &config, 2, 2).unwrap_err();
+        assert!(matches!(err, SimError::Scene(_)), "{err}");
+        assert!(err.to_string().contains("shader profiles"), "{err}");
+        scene.draws.pop();
+        let prefix = FramePrefix::build(&scene, &config, 2, 2).unwrap();
+        assert_eq!(prefix.profiles.len(), 65_536);
     }
 }

@@ -7,9 +7,10 @@
 //! subtiles tile-major, SC-ascending, so the shared levels see one
 //! fixed request order.
 
+use crate::prefix::{check_line_width, push_footprint};
 use crate::prim::Quad;
 use dtexl_mem::{LineAddr, TextureHierarchy};
-use dtexl_texture::{Sampler, TextureDesc};
+use dtexl_texture::TextureDesc;
 
 /// Per-run statistics of a shader core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -61,16 +62,14 @@ impl std::ops::AddAssign for ShaderCoreStats {
 /// schedule-independent frame prefix.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PreparedQuad<'a> {
-    /// Issue-port slots the warp occupies
-    /// ([`ShaderProfile::issue_slots`](dtexl_scene::ShaderProfile::issue_slots)).
-    pub(crate) issue: u32,
     /// ALU instructions the quad executes.
     pub(crate) alu_ops: u32,
     /// Texture sample instructions per fragment.
     pub(crate) tex_samples: u32,
     /// The quad's deduplicated cache-line footprint
-    /// ([`Sampler::quad_footprint`]).
-    pub(crate) lines: &'a [LineAddr],
+    /// ([`Sampler::quad_footprint`](dtexl_texture::Sampler::quad_footprint)),
+    /// narrowed to the prefix's `u32` line arena.
+    pub(crate) lines: &'a [u32],
 }
 
 /// The warp slots and issue port of one subtile batch.
@@ -177,7 +176,9 @@ impl ShaderCore {
     ///
     /// # Panics
     ///
-    /// Panics if a quad references a texture not present in `textures`.
+    /// Panics if a quad references a texture not present in `textures`,
+    /// or if a texture's lines do not fit 32 bits (the frame prefix
+    /// rejects such a table with [`crate::SimError::Scene`]).
     pub fn run_subtile(
         &self,
         sc: usize,
@@ -185,19 +186,21 @@ impl ShaderCore {
         textures: &[TextureDesc],
         hierarchy: &mut TextureHierarchy,
     ) -> (u64, ShaderCoreStats) {
-        let mut lines: Vec<LineAddr> = Vec::new();
+        let fits = check_line_width(textures);
+        assert!(fits.is_ok(), "{fits:?}");
+        let mut lines: Vec<u32> = Vec::new();
+        let mut footprint: Vec<LineAddr> = Vec::new();
         let mut ends = Vec::with_capacity(quads.len());
         for quad in quads {
             let tex = &textures[quad.texture as usize];
             debug_assert_eq!(tex.id(), quad.texture, "texture table must be id-indexed");
-            Sampler::new(quad.shader.filter).quad_footprint_into(tex, quad.uv, &mut lines);
+            push_footprint(quad, tex, &mut footprint, &mut lines);
             ends.push(lines.len());
         }
         let prepared = quads.iter().zip(&ends).scan(0, |start, (quad, &end)| {
             let lines = &lines[*start..end];
             *start = end;
             Some(PreparedQuad {
-                issue: quad.shader.issue_slots(),
                 alu_ops: quad.shader.alu_ops,
                 tex_samples: quad.shader.tex_samples,
                 lines,
@@ -232,12 +235,13 @@ impl ShaderCore {
             latencies.clear();
             let mut misses = 0u64;
             for &line in quad.lines {
-                let out = hierarchy.access(sc, line);
+                let out = hierarchy.access(sc, LineAddr::from(line));
                 misses += u64::from(!out.l1_hit);
                 latencies.push(out.latency);
             }
+            let issue = quad.alu_ops + quad.tex_samples;
             warps.dispatch(
-                u64::from(quad.issue) + misses * u64::from(self.miss_fill_cycles),
+                u64::from(issue) + misses * u64::from(self.miss_fill_cycles),
                 sample_stall(&latencies, quad.tex_samples.max(1) as usize),
             );
             l1_misses += misses;

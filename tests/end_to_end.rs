@@ -173,12 +173,13 @@ fn barrier_modes_share_functional_results() {
 fn fragment_stage_does_not_allocate_per_quad() {
     // The early-Z survivor path used to clone every surviving `Quad`
     // into per-SC re-merge buffers; on the densest game (CandyCrush,
-    // ~150k survivors at 480×192) the frame's high-water mark measured
+    // ~120k survivors at 480×192) the frame's high-water mark measured
     // 15_450_568 bytes before the fix. The prepared-quad arena path
-    // reuses flat index buffers and measures ~12.0 MB despite now
-    // retaining the whole schedule-independent prefix for the frame.
-    // 14 MB splits the two: far above normal jitter, well below the
-    // per-quad-clone cost coming back.
+    // reuses flat index buffers, and with the compact prefix layout
+    // (8-byte survivors, 32-bit lines) it measures 3_771_368 bytes
+    // while retaining the whole schedule-independent prefix (10_038_152
+    // with the wide layout). 4.34 MB is that plus 15%: above normal
+    // jitter, well below either old layout coming back.
     let scene = Game::CandyCrush.scene(&SceneSpec::new(480, 192, 0));
     let meter = AllocMeter::new();
     let guard = meter_current_thread(&meter);
@@ -192,7 +193,7 @@ fn fragment_stage_does_not_allocate_per_quad() {
     drop(guard);
     assert!(r.total_l2_accesses() > 0, "frame must have run");
     assert!(
-        meter.peak_bytes() < 14_000_000,
+        meter.peak_bytes() < 4_340_000,
         "fragment-stage peak allocation regressed: {} bytes",
         meter.peak_bytes()
     );

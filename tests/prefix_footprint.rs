@@ -1,0 +1,50 @@
+//! The frame prefix's retained layout: `approx_bytes` (the prefix
+//! cache's budget figure) matches what the allocator actually holds,
+//! and the arenas cost no more per element than the compact layout
+//! (docs/MODEL.md, "Schedule-independent frame prefix").
+
+use dtexl_alloc::{meter_current_thread, AllocMeter};
+use dtexl_pipeline::{FramePrefix, FrameSim, PipelineConfig};
+use dtexl_scene::{Game, SceneSpec};
+use dtexl_sched::ScheduleConfig;
+
+const W: u32 = 480;
+const H: u32 = 192;
+
+#[test]
+fn approx_bytes_is_the_live_heap_of_a_compact_prefix() {
+    let config = PipelineConfig::default();
+    for game in [Game::RiseOfKingdoms, Game::CandyCrush] {
+        let scene = game.scene(&SceneSpec::new(W, H, 0));
+        let meter = AllocMeter::new();
+        let guard = meter_current_thread(&meter);
+        let prefix = FramePrefix::build(&scene, &config, W, H).unwrap();
+        let live = meter.current_bytes();
+        drop(guard);
+        let approx = prefix.approx_bytes();
+        assert!(
+            approx.abs_diff(live) * 50 <= live,
+            "{}: approx_bytes {approx} vs {live} live bytes after the build",
+            game.alias()
+        );
+
+        // The arena lengths, from the leg's public counters: every
+        // rasterized quad is counted once, every survivor is shaded
+        // once and walks its whole footprint once.
+        let r = FrameSim::try_run_prefixed(&prefix, &ScheduleConfig::baseline(), &config).unwrap();
+        let sum = |f: fn(&dtexl_pipeline::TileRecord) -> [u32; 4]| -> u64 {
+            r.tiles.iter().flat_map(f).map(u64::from).sum()
+        };
+        let rasterized = sum(|t| t.quads_rasterized);
+        let survivors = sum(|t| t.quads_shaded);
+        let lines = r.shader.line_accesses;
+        let tiles = r.tiles.len() as u64;
+        let bound = 2 * rasterized + 8 * survivors + 4 * lines + 64 * tiles + 4096;
+        assert!(
+            approx <= bound,
+            "{}: approx_bytes {approx} over the compact layout's {bound} \
+             ({rasterized} rasterized, {survivors} survivors, {lines} lines, {tiles} tiles)",
+            game.alias()
+        );
+    }
+}
