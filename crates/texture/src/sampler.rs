@@ -111,16 +111,21 @@ impl Sampler {
         ((m.to_bits() >> 23) as i32) - 127
     }
 
-    /// `floor(max(log2 ρ, 0) + ½)` — nearest mip level (bilinear).
+    /// The mip levels a bilinear (`lo == hi`) or trilinear quad
+    /// samples, clamped to the chain: bilinear takes the nearest level,
+    /// `floor(max(log2 ρ, 0) + ½)`; trilinear the lower one,
+    /// `floor(max(log2 ρ, 0))`, and the next.
     #[inline]
-    fn level_round(tex: &TextureDesc, quad_uv: [Vec2; 4]) -> u32 {
-        ((Self::grad_exp(tex, quad_uv) + 1) >> 1).max(0) as u32
-    }
-
-    /// `floor(max(log2 ρ, 0))` — lower mip level (trilinear).
-    #[inline]
-    fn level_floor(tex: &TextureDesc, quad_uv: [Vec2; 4]) -> u32 {
-        (Self::grad_exp(tex, quad_uv) >> 1).max(0) as u32
+    fn mip_levels(tex: &TextureDesc, quad_uv: [Vec2; 4], trilinear: bool) -> (u32, u32) {
+        let e = Self::grad_exp(tex, quad_uv);
+        let max_level = tex.levels() - 1;
+        if trilinear {
+            let lo = ((e >> 1).max(0) as u32).min(max_level);
+            (lo, (lo + 1).min(max_level))
+        } else {
+            let level = (((e + 1) >> 1).max(0) as u32).min(max_level);
+            (level, level)
+        }
     }
 
     /// Cache-line footprint of one quad: the deduplicated set of line
@@ -141,26 +146,76 @@ impl Sampler {
     /// without allocating, so callers can pack many quads' footprints
     /// into one flat buffer. Only the appended tail is sorted and
     /// deduplicated; anything already in `out` is untouched.
+    ///
+    /// Bilinear and trilinear quads on Morton textures under
+    /// [`Wrap::Repeat`] resolve once per mip level over a block window
+    /// (`docs/MODEL.md`); every other quad, and any quad that window
+    /// cannot hold, expands fragment by fragment. Both paths produce
+    /// the same lines on levels up to 65,536 texels a side, the range
+    /// [`morton::encode`](crate::morton::encode) addresses exactly.
     pub fn quad_footprint_into(
         &self,
         tex: &TextureDesc,
         quad_uv: [Vec2; 4],
         lines: &mut Vec<LineAddr>,
     ) {
+        if !self.quad_level_footprint(tex, quad_uv, lines) {
+            self.fragment_footprint(tex, quad_uv, lines);
+        }
+    }
+
+    /// The quad-level path of
+    /// [`quad_footprint_into`](Self::quad_footprint_into): appends the
+    /// footprint and returns `true`, or appends nothing and returns
+    /// `false` when the quad must take the per-fragment path.
+    fn quad_level_footprint(
+        &self,
+        tex: &TextureDesc,
+        quad_uv: [Vec2; 4],
+        lines: &mut Vec<LineAddr>,
+    ) -> bool {
+        if self.wrap != Wrap::Repeat || tex.layout() != crate::TexelLayout::Morton {
+            return false;
+        }
+        let trilinear = match self.filter {
+            Filter::Bilinear => false,
+            Filter::Trilinear => true,
+            Filter::Anisotropic { .. } => return false,
+        };
+        let (lo, hi) = Self::mip_levels(tex, quad_uv, trilinear);
+        // At most nine blocks per level, two levels.
+        let mut cand = [0; 18];
+        let mut n = 0;
+        for level in lo..=hi {
+            if !LevelCtx::new(tex, level, self.wrap).quad_blocks(quad_uv, &mut cand, &mut n) {
+                return false;
+            }
+        }
+        // Wrapped window blocks can coincide, and trilinear's 2×2 and
+        // 1×1 tail levels share a line, so the dedup runs over both
+        // levels' candidates.
+        let cand = &mut cand[..n];
+        cand.sort_unstable();
+        lines.push(cand[0]);
+        for w in cand.windows(2) {
+            if w[1] != w[0] {
+                lines.push(w[1]);
+            }
+        }
+        true
+    }
+
+    /// The per-fragment reference path of
+    /// [`quad_footprint_into`](Self::quad_footprint_into): every
+    /// filter, layout and wrap mode, fragment by fragment.
+    fn fragment_footprint(&self, tex: &TextureDesc, quad_uv: [Vec2; 4], lines: &mut Vec<LineAddr>) {
         let start = lines.len();
         let max_level = tex.levels() - 1;
 
         match self.filter {
-            Filter::Bilinear => {
-                let level = Self::level_round(tex, quad_uv).min(max_level);
-                let ctx = LevelCtx::new(tex, level, self.wrap);
-                for uv in quad_uv {
-                    ctx.fragment_lines(uv, lines, start);
-                }
-            }
-            Filter::Trilinear => {
-                let lo = Self::level_floor(tex, quad_uv).min(max_level);
-                let hi = (lo + 1).min(max_level);
+            Filter::Bilinear | Filter::Trilinear => {
+                let trilinear = self.filter == Filter::Trilinear;
+                let (lo, hi) = Self::mip_levels(tex, quad_uv, trilinear);
                 let ctx_lo = LevelCtx::new(tex, lo, self.wrap);
                 let ctx_hi = LevelCtx::new(tex, hi, self.wrap);
                 for uv in quad_uv {
@@ -259,14 +314,14 @@ impl Sampler {
     }
 }
 
-/// Per-mip-level addressing context, hoisted out of the per-fragment
-/// tap loop: one [`quad_footprint_into`](Sampler::quad_footprint_into)
-/// call resolves the level dimensions, wrap masks and base address
-/// once, then expands each fragment's 2×2 taps with inline Morton
-/// arithmetic. Bit-identical to addressing through
-/// [`TextureDesc::texel_line`] tap by tap — this is the footprint hot
-/// path (hundreds of thousands of quads per frame), so the per-tap
-/// `rem_euclid` divisions and bounds re-checks are folded away.
+/// Per-mip-level addressing context, hoisted out of the tap loops: one
+/// [`quad_footprint_into`](Sampler::quad_footprint_into) call resolves
+/// the level dimensions, wrap masks and base address once, then
+/// expands the quad's taps either a whole quad at a time
+/// ([`quad_blocks`](Self::quad_blocks)) or fragment by fragment
+/// ([`fragment_lines`](Self::fragment_lines), addressing each tap as
+/// [`TextureDesc::texel_line`] does, minus its per-tap `rem_euclid`
+/// divisions and bounds re-checks).
 struct LevelCtx {
     /// Level dimensions as floats (UV → texel scale).
     wf: f32,
@@ -283,11 +338,9 @@ struct LevelCtx {
     clamp: bool,
     /// Morton layout *and* the level base is line-aligned: a 64-byte
     /// line is then exactly one 4×4-texel Morton block, so a tap's
-    /// line is `base/64 + encode(x/4, y/4)` — one block encode shared
-    /// by all taps that land in the block, instead of a full-precision
-    /// Morton expansion per tap. Texture allocation keeps bases
-    /// line-aligned, so only the 4-byte 1×1 tail level (offset `…+16`)
-    /// misses this path.
+    /// line is `base/64 + encode(x/4, y/4)`. Texture allocation keeps
+    /// bases line-aligned, so only the 4-byte 1×1 tail level (offset
+    /// `…+16`) is unaligned.
     morton_aligned: bool,
 }
 
@@ -299,7 +352,7 @@ impl LevelCtx {
         let morton = tex.layout() == crate::TexelLayout::Morton;
         // One line = one 4x4 Morton block requires exactly 16 texels
         // per line; both are fixed constants today, the assert guards
-        // the fast path if either ever changes.
+        // the quad-level path if either ever changes.
         debug_assert_eq!(dtexl_mem::LINE_BYTES / crate::BYTES_PER_TEXEL, 16);
         Self {
             wf: w as f32,
@@ -323,6 +376,78 @@ impl LevelCtx {
             u64::from(y) * self.pitch + u64::from(x)
         };
         (self.base + texel_index * crate::BYTES_PER_TEXEL) / dtexl_mem::LINE_BYTES
+    }
+
+    /// Write the distinct lines of the whole quad's 2×2 bilinear taps
+    /// on this level to `cand[*n..]`, advancing `*n`, or return `false`
+    /// (leaving `*n` as is) when the quad needs the per-fragment path:
+    /// the level is not a line-aligned Morton level, a texel coordinate
+    /// fails the range guard, or the taps span more than 3×3 blocks.
+    /// `Repeat` wrapping only.
+    fn quad_blocks(&self, quad_uv: [Vec2; 4], cand: &mut [LineAddr; 18], n: &mut usize) -> bool {
+        /// Range guard for the `i32` floor: below 2^24 an integer
+        /// converts back to `f32` exactly, so the floor's comparison is
+        /// exact, and the taps' `+1` cannot overflow. Fails NaN and ±∞.
+        const GUARD: f32 = 4_194_304.0; // 2^22
+        let lb = self.base / dtexl_mem::LINE_BYTES;
+        // A level whose whole allocation fits in one line (the 2×2 and
+        // 1×1 tails) contributes that line whatever the coordinates.
+        let bytes = (self.pitch * self.pitch) * crate::BYTES_PER_TEXEL;
+        if self.base % dtexl_mem::LINE_BYTES + bytes <= dtexl_mem::LINE_BYTES {
+            cand[*n] = lb;
+            *n += 1;
+            return true;
+        }
+        if !self.morton_aligned {
+            return false;
+        }
+        let tu = quad_uv.map(|uv| uv.x * self.wf - 0.5);
+        let tv = quad_uv.map(|uv| uv.y * self.hf - 0.5);
+        if !tu.iter().chain(&tv).all(|t| t.abs() < GUARD) {
+            return false;
+        }
+        // Exact floor under the guard: truncate, then step down where
+        // truncation rounded a negative value up.
+        let floor = |t: f32| t as i32 - i32::from(t < (t as i32) as f32);
+        // An axis under 4 texels is a single block: wrap it up front,
+        // so its window is one block however far the taps stray.
+        let axis = |t: [f32; 4], dim: i64| {
+            let f = t.map(floor);
+            if dim < 4 {
+                f.map(|v| v & (dim as i32 - 1))
+            } else {
+                f
+            }
+        };
+        let (x0, y0) = (axis(tu, self.w), axis(tv, self.h));
+        // Unwrapped block window: the blocks of the lowest tap to the
+        // highest `+1` tap, per axis.
+        let bx = x0.iter().min().map_or(0, |&x| x >> 2);
+        let by = y0.iter().min().map_or(0, |&y| y >> 2);
+        let bx_end = x0.iter().max().map_or(0, |&x| (x + 1) >> 2);
+        let by_end = y0.iter().max().map_or(0, |&y| (y + 1) >> 2);
+        if bx_end - bx > 2 || by_end - by > 2 {
+            return false;
+        }
+        // Bit `3·row + col` of the window per touched block.
+        let mut mask = 0u16;
+        for (&x, &y) in x0.iter().zip(&y0) {
+            let cols = (1u16 << ((x >> 2) - bx)) | (1 << (((x + 1) >> 2) - bx));
+            mask |= cols << (3 * ((y >> 2) - by)) | cols << (3 * (((y + 1) >> 2) - by));
+        }
+        // Wrap at emit time: `Repeat` masks a texel coordinate with
+        // `dim − 1` (a power-of-two level), so a block coordinate with
+        // `(dim − 1) >> 2`.
+        let mx = (self.w - 1) as i32 >> 2;
+        let my = (self.h - 1) as i32 >> 2;
+        while mask != 0 {
+            let bit = mask.trailing_zeros() as i32;
+            mask &= mask - 1;
+            let (cx, cy) = ((bx + bit % 3) & mx, (by + bit / 3) & my);
+            cand[*n] = lb + crate::morton::encode(cx as u32, cy as u32);
+            *n += 1;
+        }
+        true
     }
 
     /// Append the distinct lines of the fragment's 2×2 bilinear taps,
@@ -352,55 +477,29 @@ impl LevelCtx {
         let tv = uv.y * self.hf - 0.5;
         let x0 = floor_i64(tu);
         let y0 = floor_i64(tv);
+        // Wrapping: a +∞ coordinate saturates to `i64::MAX`, whose
+        // right tap wraps in every profile, as release builds always did.
+        let (x1, y1) = (x0.wrapping_add(1), y0.wrapping_add(1));
         let (x0, x1, y0, y1) = if self.clamp {
             (
                 x0.clamp(0, self.w - 1) as u32,
-                (x0 + 1).clamp(0, self.w - 1) as u32,
+                x1.clamp(0, self.w - 1) as u32,
                 y0.clamp(0, self.h - 1) as u32,
-                (y0 + 1).clamp(0, self.h - 1) as u32,
+                y1.clamp(0, self.h - 1) as u32,
             )
         } else {
             // `rem_euclid` by a power of two is a mask.
             (
                 (x0 & (self.w - 1)) as u32,
-                ((x0 + 1) & (self.w - 1)) as u32,
+                (x1 & (self.w - 1)) as u32,
                 (y0 & (self.h - 1)) as u32,
-                ((y0 + 1) & (self.h - 1)) as u32,
+                (y1 & (self.h - 1)) as u32,
             )
         };
-        let (l00, l10, l01, l11);
-        if self.morton_aligned {
-            // Line-aligned Morton level: a tap's line is its 4×4-texel
-            // block's Morton index off the level's first line. The 2×2
-            // taps usually share one block, so most fragments cost a
-            // single encode.
-            let lb = self.base / dtexl_mem::LINE_BYTES;
-            let (bx0, by0) = (x0 >> 2, y0 >> 2);
-            let (bx1, by1) = (x1 >> 2, y1 >> 2);
-            l00 = lb + crate::morton::encode(bx0, by0);
-            l10 = if bx1 == bx0 {
-                l00
-            } else {
-                lb + crate::morton::encode(bx1, by0)
-            };
-            l01 = if by1 == by0 {
-                l00
-            } else {
-                lb + crate::morton::encode(bx0, by1)
-            };
-            l11 = if bx1 == bx0 {
-                l01
-            } else if by1 == by0 {
-                l10
-            } else {
-                lb + crate::morton::encode(bx1, by1)
-            };
-        } else {
-            l00 = self.line(x0, y0);
-            l10 = self.line(x1, y0);
-            l01 = self.line(x0, y1);
-            l11 = self.line(x1, y1);
-        }
+        let l00 = self.line(x0, y0);
+        let l10 = self.line(x1, y0);
+        let l01 = self.line(x0, y1);
+        let l11 = self.line(x1, y1);
         if !out[start..].contains(&l00) {
             out.push(l00);
         }
@@ -459,55 +558,170 @@ mod tests {
         assert_eq!(s.lod(&t, quad_at(10.0, 10.0, 0.25, &t)), 0.0);
     }
 
-    #[test]
-    #[ignore]
-    fn footprint_phase_probe() {
-        use std::time::Instant;
-        let t256 = TextureDesc::new(0, 256, 256, 0);
-        let n = 119_000u32;
-        // Synthetic quads: sweep uv across the texture at ~1:1 scale.
-        let quads: Vec<[Vec2; 4]> = (0..n)
-            .map(|i| {
-                let px = (i % 480) as f32;
-                let py = (i / 480) as f32;
-                let uv = |x: f32, y: f32| Vec2::new(x / 256.0, y / 256.0);
-                [
-                    uv(px, py),
-                    uv(px + 1.0, py),
-                    uv(px, py + 1.0),
-                    uv(px + 1.0, py + 1.0),
-                ]
-            })
-            .collect();
-        let s = Sampler::new(Filter::Bilinear);
-        // Phase 1: lod only.
-        let t = Instant::now();
-        let mut acc = 0f32;
-        for q in &quads {
-            acc += s.lod(&t256, *q);
+    /// splitmix64: the differential corpus's fixed-seed generator.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
         }
-        println!("lod: {:?} (acc {acc})", t.elapsed());
-        // Phase 2: ctx + fragments, no sort.
-        let t = Instant::now();
-        let mut lines: Vec<LineAddr> = Vec::new();
-        for q in &quads {
-            let lod = s.lod(&t256, *q);
-            let max_level = t256.levels() - 1;
-            let level = (lod + 0.5).floor().min(max_level as f32) as u32;
-            let ctx = LevelCtx::new(&t256, level, Wrap::Repeat);
-            let start = lines.len();
-            for uv in *q {
-                ctx.fragment_lines(uv, &mut lines, start);
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        /// Uniform in `[lo, hi)`.
+        fn range(&mut self, lo: f32, hi: f32) -> f32 {
+            lo + (hi - lo) * ((self.next() >> 40) as f32 / (1u64 << 24) as f32)
+        }
+    }
+
+    /// One corpus quad on `tex`: a pixel quad whose texel-space step is
+    /// log-uniform in 1/8..64 texels, rotated, optionally stretched,
+    /// with a little perspective skew on the last fragment. Centers
+    /// range over −3..3 texture periods (negative UVs, seams); about 4%
+    /// of quads sit just inside or outside the ±2^22-texel guard and 2%
+    /// carry a NaN or ±∞ coordinate. One in 20 is warped: its top-right
+    /// and bottom-left fragments shift together by up to 8 steps, which
+    /// leaves the LOD's averaged derivatives as they were, so its window
+    /// can outgrow 3×3 blocks; the flag reports it.
+    fn corpus_quad(rng: &mut Rng, tex: &TextureDesc) -> ([Vec2; 4], bool) {
+        let scale = Vec2::new(tex.width() as f32, tex.height() as f32);
+        let step = rng.range(-3.0, 6.0).exp2();
+        let stretch = if rng.below(4) == 0 {
+            rng.range(1.0, 6.0)
+        } else {
+            1.0
+        };
+        let (sin, cos) = rng.range(0.0, std::f32::consts::TAU).sin_cos();
+        let ddx = Vec2::new(cos, sin) * (step * stretch);
+        let ddy = Vec2::new(-sin, cos) * step;
+        let skew = Vec2::new(rng.range(-0.05, 0.05), rng.range(-0.05, 0.05)) * step;
+        let warped = rng.below(20) == 0;
+        let warp = if warped {
+            Vec2::new(rng.range(-8.0, 8.0), rng.range(-8.0, 8.0)) * step
+        } else {
+            Vec2::new(0.0, 0.0)
+        };
+        let mut c = match rng.below(50) {
+            // Within a few texels of the guard, either side of zero.
+            0 | 1 => {
+                let t = 4_194_304.0 + rng.range(-4.0, 4.0);
+                let sign = if rng.below(2) == 0 { 1.0 } else { -1.0 };
+                Vec2::new(sign * t, rng.range(-4.0, 4.0) * 1_048_576.0)
+            }
+            // Straddling a wrap seam.
+            2..=9 => Vec2::new(
+                (rng.below(7) as f32 - 3.0) * scale.x + rng.range(-3.0, 3.0),
+                (rng.below(7) as f32 - 3.0) * scale.y + rng.range(-3.0, 3.0),
+            ),
+            _ => Vec2::new(
+                rng.range(-3.0, 3.0) * scale.x,
+                rng.range(-3.0, 3.0) * scale.y,
+            ),
+        };
+        if rng.below(2) == 0 {
+            std::mem::swap(&mut c.x, &mut c.y);
+        }
+        let texel = [c, c + ddx + warp, c + ddy + warp, c + ddx + ddy + skew];
+        let mut quad = texel.map(|t| Vec2::new(t.x / scale.x, t.y / scale.y));
+        if rng.below(50) == 0 {
+            let v = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY][rng.below(3) as usize];
+            let f = &mut quad[rng.below(4) as usize];
+            if rng.below(2) == 0 {
+                f.x = v;
+            } else {
+                f.y = v;
             }
         }
-        println!("lod+fragments: {:?} ({} lines)", t.elapsed(), lines.len());
-        // Phase 3: full footprint.
-        lines.clear();
-        let t = Instant::now();
-        for q in &quads {
-            s.quad_footprint_into(&t256, *q, &mut lines);
+        (quad, warped)
+    }
+
+    /// Run `quads` corpus quads through both footprint paths and assert
+    /// identical lines for each. Textures span 1×1 to 1024×256 in
+    /// either orientation, both layouts, line-aligned and `+16` bases;
+    /// samplers cover all three filters and both wraps. Paths outside
+    /// the quad-level path's scope must fall back, and at least 97% of
+    /// the quads it targets (Morton, `Repeat`, bilinear or trilinear,
+    /// line-aligned base, not warped) must take it.
+    fn differential(seed: u64, quads: usize) {
+        let mut rng = Rng(seed);
+        let (mut targeted, mut taken) = (0usize, 0usize);
+        let (mut fast, mut reference, mut public) = (Vec::new(), Vec::new(), Vec::new());
+        let mut tex = TextureDesc::new(0, 1, 1, 0);
+        for i in 0..quads {
+            if i % 16 == 0 {
+                let (mut w, mut h) = (1 << rng.below(11), 1 << rng.below(9));
+                if rng.below(2) == 0 {
+                    std::mem::swap(&mut w, &mut h);
+                }
+                let base = rng.below(1 << 20) * 64 + if rng.below(4) == 0 { 16 } else { 0 };
+                let layout = if rng.below(5) == 0 {
+                    crate::TexelLayout::RowMajor
+                } else {
+                    crate::TexelLayout::Morton
+                };
+                tex = TextureDesc::with_layout(0, w, h, base, layout);
+            }
+            let filter = match rng.below(5) {
+                0 | 1 => Filter::Bilinear,
+                2 | 3 => Filter::Trilinear,
+                _ => Filter::Anisotropic {
+                    max_ratio: 1 + rng.below(16) as u8,
+                },
+            };
+            let wrap = if rng.below(5) == 0 {
+                Wrap::ClampToEdge
+            } else {
+                Wrap::Repeat
+            };
+            let s = Sampler::with_wrap(filter, wrap);
+            let (q, warped) = corpus_quad(&mut rng, &tex);
+
+            fast.clear();
+            reference.clear();
+            public.clear();
+            public.push(LineAddr::MAX);
+            let took = s.quad_level_footprint(&tex, q, &mut fast);
+            s.fragment_footprint(&tex, q, &mut reference);
+            s.quad_footprint_into(&tex, q, &mut public);
+            let ctx = || format!("quad {i}: {s:?} {tex:?} {q:?}");
+            assert_eq!(public[0], LineAddr::MAX, "{}", ctx());
+            assert_eq!(public[1..], reference, "{}", ctx());
+            if took {
+                assert_eq!(fast, reference, "{}", ctx());
+            } else {
+                assert!(fast.is_empty(), "a fallback appends nothing: {}", ctx());
+            }
+            let in_scope = tex.layout() == crate::TexelLayout::Morton
+                && wrap == Wrap::Repeat
+                && matches!(filter, Filter::Bilinear | Filter::Trilinear);
+            assert!(in_scope || !took, "out of scope but taken: {}", ctx());
+            if in_scope && tex.base_addr().is_multiple_of(64) && !warped {
+                targeted += 1;
+                taken += usize::from(took);
+            }
         }
-        println!("full: {:?} ({} lines)", t.elapsed(), lines.len());
+        assert!(
+            taken * 100 >= targeted * 97,
+            "quad-level path took {taken} of {targeted} targeted quads"
+        );
+    }
+
+    #[test]
+    fn quad_level_footprint_matches_fragment_path() {
+        differential(0x5eed_f007, 100_000);
+    }
+
+    /// The same oracle over a 5M-quad corpus (release profile).
+    #[test]
+    #[ignore]
+    fn quad_level_footprint_matches_fragment_path_large() {
+        differential(0xface_b00c, 5_000_000);
     }
 
     #[test]
