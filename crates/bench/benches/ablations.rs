@@ -15,8 +15,8 @@ const W: u32 = 256;
 const H: u32 = 128;
 
 fn speedup(scene: &dtexl_scene::Scene, cfg: &PipelineConfig, dtexl: &ScheduleConfig) -> f64 {
-    let base = FrameSim::run_with_resolution(scene, &ScheduleConfig::baseline(), cfg, W, H);
-    let dt = FrameSim::run_with_resolution(scene, dtexl, cfg, W, H);
+    let base = FrameSim::try_run(scene, &ScheduleConfig::baseline(), cfg, W, H).unwrap();
+    let dt = FrameSim::try_run(scene, dtexl, cfg, W, H).unwrap();
     base.total_cycles(BarrierMode::Coupled) as f64 / dt.total_cycles(BarrierMode::Decoupled) as f64
 }
 

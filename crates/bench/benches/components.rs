@@ -183,13 +183,14 @@ fn bench_frame_scaling(c: &mut Criterion) {
         g.bench_function(format!("{w}x{h}"), |b| {
             b.iter(|| {
                 black_box(
-                    FrameSim::run_with_resolution(
+                    FrameSim::try_run(
                         &scene,
                         &ScheduleConfig::dtexl(),
                         &PipelineConfig::default(),
                         w,
                         h,
                     )
+                    .unwrap()
                     .total_quads_shaded(),
                 )
             });

@@ -24,7 +24,7 @@ fn scene(game: Game) -> dtexl_scene::Scene {
 }
 
 fn run(scene: &dtexl_scene::Scene, sched: &ScheduleConfig) -> dtexl_pipeline::FrameResult {
-    FrameSim::run_with_resolution(scene, sched, &PipelineConfig::default(), W, H)
+    FrameSim::try_run(scene, sched, &PipelineConfig::default(), W, H).unwrap()
 }
 
 fn grouping_sched(g: QuadGrouping) -> ScheduleConfig {

@@ -153,7 +153,7 @@ fn gap(table_id: &str, label: &str, err: &dyn std::fmt::Display) -> f64 {
 /// [`Lab::try_ensure`]'s sweep isolation), so one bad configuration in
 /// a knob sweep degrades to a reported gap instead of aborting the
 /// run. Scene- and schedule-mutating cells use
-/// [`FrameSim::try_run_with_resolution`] with the same policy.
+/// [`FrameSim::try_run`] with the same policy.
 fn ablations(quick: bool) {
     let (w, h) = if quick { (512, 256) } else { (1960, 768) };
     let game = Game::GravityTetris;
@@ -303,8 +303,8 @@ fn ablations(quick: bool) {
     ] {
         let s = scene.relayout(layout);
         let cfg = PipelineConfig::default();
-        let fg = FrameSim::try_run_with_resolution(&s, &ScheduleConfig::baseline(), &cfg, w, h);
-        let cg = FrameSim::try_run_with_resolution(&s, &ScheduleConfig::dtexl(), &cfg, w, h);
+        let fg = FrameSim::try_run(&s, &ScheduleConfig::baseline(), &cfg, w, h);
+        let cg = FrameSim::try_run(&s, &ScheduleConfig::dtexl(), &cfg, w, h);
         let v = match (fg, cg) {
             (Ok(fg), Ok(cg)) => cg.hierarchy.l2.accesses as f64 / fg.hierarchy.l2.accesses as f64,
             (Err(e), _) | (_, Err(e)) => gap("ablation-layout", name, &e),
@@ -418,8 +418,8 @@ fn try_speedup_scene(
     w: u32,
     h: u32,
 ) -> Result<f64, dtexl_pipeline::SimError> {
-    let base = FrameSim::try_run_with_resolution(scene, &ScheduleConfig::baseline(), cfg, w, h)?;
-    let dt = FrameSim::try_run_with_resolution(scene, &ScheduleConfig::dtexl(), cfg, w, h)?;
+    let base = FrameSim::try_run(scene, &ScheduleConfig::baseline(), cfg, w, h)?;
+    let dt = FrameSim::try_run(scene, &ScheduleConfig::dtexl(), cfg, w, h)?;
     Ok(base.total_cycles(BarrierMode::Coupled) as f64
         / dt.total_cycles(BarrierMode::Decoupled) as f64)
 }

@@ -1178,8 +1178,7 @@ fn cmd_trace_sim(args: &mut Args) -> Result<(), String> {
     let scene: Scene =
         dtexl_trace::load_trace(std::path::Path::new(&input)).map_err(|e| e.to_string())?;
     let pipeline = PipelineConfig::default();
-    let r = FrameSim::try_run_with_resolution(&scene, &schedule, &pipeline, w, h)
-        .map_err(|e| e.to_string())?;
+    let r = FrameSim::try_run(&scene, &schedule, &pipeline, w, h).map_err(|e| e.to_string())?;
     let mode = if coupled {
         BarrierMode::Coupled
     } else {

@@ -5,10 +5,8 @@
 //! across different games". This module measures those properties of
 //! the synthetic stand-ins from an actual baseline simulation.
 
-use crate::sim::CLOCK_HZ;
-use dtexl_pipeline::{BarrierMode, FrameSim, PipelineConfig};
+use crate::sim::{SimConfig, Simulator};
 use dtexl_scene::{Game, SceneSpec};
-use dtexl_sched::ScheduleConfig;
 use serde::{Deserialize, Serialize};
 
 /// Measured characteristics of one workload under the baseline
@@ -49,13 +47,12 @@ pub struct WorkloadProfile {
 #[must_use]
 pub fn characterize(game: Game, width: u32, height: u32, frame: u32) -> WorkloadProfile {
     let scene = game.scene(&SceneSpec::new(width, height, frame));
-    let r = FrameSim::run_with_resolution(
-        &scene,
-        &ScheduleConfig::baseline(),
-        &PipelineConfig::default(),
-        width,
-        height,
-    );
+    let config = SimConfig {
+        frame,
+        ..SimConfig::baseline(game).with_resolution(width, height)
+    };
+    let report = Simulator::simulate_scene(&scene, &config);
+    let r = &report.frame;
     let rasterized: u64 = r
         .tiles
         .iter()
@@ -77,7 +74,7 @@ pub fn characterize(game: Game, width: u32, height: u32, frame: u32) -> Workload
         texture_requests: r.hierarchy.l1_accesses(),
         distinct_lines: r.hierarchy.distinct_lines,
         reuse_factor: r.hierarchy.reuse_factor(),
-        baseline_fps: CLOCK_HZ / r.total_cycles(BarrierMode::Coupled) as f64,
+        baseline_fps: report.fps,
     }
 }
 

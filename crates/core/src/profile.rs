@@ -22,7 +22,9 @@ use dtexl_obs::{
     Event, EventSink, MemSample, ObsRollup, Probe, RasterSample, RollupMode, Span, SpanKind, Stage,
     StallRollup,
 };
-use dtexl_pipeline::{compose_frame_probed, BarrierMode, FrameResult, FrameSim, SimError};
+use dtexl_pipeline::{
+    compose_frame_probed, BarrierMode, FramePrefix, FrameResult, FrameSim, SimError,
+};
 use dtexl_scene::SceneSpec;
 use std::collections::BTreeMap;
 
@@ -57,19 +59,17 @@ impl FrameProfile {
     /// # Errors
     ///
     /// Returns a [`SimError`] when the configuration or generated scene
-    /// is invalid — the same conditions as
-    /// [`FrameSim::try_run_with_resolution`].
+    /// is invalid — the same conditions as [`FrameSim::try_run`].
     pub fn capture(config: &SimConfig) -> Result<Self, SimError> {
         let spec = SceneSpec::try_new(config.width, config.height, config.frame)
             .map_err(SimError::Scene)?;
         let scene = config.game.scene(&spec);
+        let prefix = FramePrefix::build(&scene, &config.pipeline, config.width, config.height)?;
         let mut sink = EventSink::new();
-        let result = FrameSim::try_run_probed(
-            &scene,
+        let result = FrameSim::try_run_prefixed_probed(
+            &prefix,
             &config.schedule,
             &config.pipeline,
-            config.width,
-            config.height,
             &mut sink,
         )?;
         let mem = sink.mem_samples();

@@ -110,13 +110,14 @@ mod tests {
         use dtexl_scene::{Game, SceneSpec};
         use dtexl_sched::ScheduleConfig;
         let scene = Game::GravityTetris.scene(&SceneSpec::new(256, 128, 0));
-        let r = FrameSim::run_with_resolution(
+        let r = FrameSim::try_run(
             &scene,
             &ScheduleConfig::dtexl(),
             &PipelineConfig::default(),
             256,
             128,
-        );
+        )
+        .unwrap();
         let map = tile_imbalance_heatmap(&r);
         // 256×128 at 32px tiles → 8×4 tiles → 4 map rows + header.
         assert_eq!(map.lines().count(), 5);

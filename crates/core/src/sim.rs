@@ -140,7 +140,7 @@ impl SequenceReport {
 pub struct Simulator;
 
 impl Simulator {
-    /// Simulate one frame.
+    /// Simulate one frame of `config`'s game.
     ///
     /// # Panics
     ///
@@ -151,46 +151,31 @@ impl Simulator {
         let scene = config
             .game
             .scene(&SceneSpec::new(config.width, config.height, config.frame));
-        let frame = FrameSim::run_with_resolution(
-            &scene,
-            &config.schedule,
-            &config.pipeline,
-            config.width,
-            config.height,
-        );
-        let cycles = frame.total_cycles(config.barrier);
-        let events = frame.energy_events(config.barrier);
-        let energy = EnergyModel::default().evaluate(&events);
-        SimReport {
-            config: *config,
-            cycles,
-            fps: CLOCK_HZ / cycles as f64,
-            l2_accesses: frame.total_l2_accesses(),
-            quads_shaded: frame.total_quads_shaded(),
-            energy,
-            frame,
-        }
+        Self::simulate_scene(&scene, config)
     }
-}
 
-impl Simulator {
-    /// Simulate one frame of a *user-provided* scene (instead of a
-    /// Table I generator) under `config`'s schedule and hardware. The
-    /// `game` field of `config` is ignored.
+    /// Simulate one frame of `scene` under `config`'s schedule and
+    /// hardware — the panicking facade over [`FrameSim::try_run`] for
+    /// callers that treat malformed input as a programming error. The
+    /// `game` field of `config` is ignored, so this also runs
+    /// *user-provided* scenes instead of a Table I generator.
     ///
     /// # Panics
     ///
-    /// Panics if the scene fails [`dtexl_scene::Scene::validate`] or the
-    /// configuration is invalid.
+    /// Panics with the [`dtexl_pipeline::SimError`] message if the
+    /// scene fails [`dtexl_scene::Scene::validate`], its texture ids are
+    /// not dense, or the configuration is invalid.
     #[must_use]
     pub fn simulate_scene(scene: &dtexl_scene::Scene, config: &SimConfig) -> SimReport {
-        let frame = FrameSim::run_with_resolution(
+        let frame = FrameSim::try_run(
             scene,
             &config.schedule,
             &config.pipeline,
             config.width,
             config.height,
-        );
+        )
+        // lint: allow(no-panic) -- documented panicking facade over FrameSim::try_run
+        .unwrap_or_else(|e| panic!("{e}"));
         let cycles = frame.total_cycles(config.barrier);
         let events = frame.energy_events(config.barrier);
         let energy = EnergyModel::default().evaluate(&events);
@@ -221,9 +206,7 @@ impl Simulator {
         workers: usize,
     ) -> SequenceReport {
         let next = std::sync::atomic::AtomicU32::new(0);
-        let slots: Vec<parking_lot::Mutex<Option<(u64, u64, f64)>>> = (0..num_frames)
-            .map(|_| parking_lot::Mutex::new(None))
-            .collect();
+        let rows = parking_lot::Mutex::new(Vec::with_capacity(num_frames as usize));
         std::thread::scope(|scope| {
             for _ in 0..workers.max(1).min(num_frames as usize) {
                 scope.spawn(|| loop {
@@ -236,24 +219,18 @@ impl Simulator {
                         ..*config
                     };
                     let r = Self::simulate(&frame_cfg);
-                    *slots[f as usize].lock() =
-                        Some((r.cycles, r.l2_accesses, r.energy.total_pj()));
+                    rows.lock()
+                        .push((f, r.cycles, r.l2_accesses, r.energy.total_pj()));
                 });
             }
         });
-        let mut report = SequenceReport {
-            cycles: Vec::with_capacity(num_frames as usize),
-            l2_accesses: Vec::with_capacity(num_frames as usize),
-            energy_pj: Vec::with_capacity(num_frames as usize),
-        };
-        for slot in slots {
-            // lint: allow(no-panic) -- the scoped pool joins before this loop, so every slot was filled exactly once
-            let (cycles, l2, energy) = slot.into_inner().expect("every frame simulated");
-            report.cycles.push(cycles);
-            report.l2_accesses.push(l2);
-            report.energy_pj.push(energy);
+        let mut rows = rows.into_inner();
+        rows.sort_unstable_by_key(|row| row.0);
+        SequenceReport {
+            cycles: rows.iter().map(|row| row.1).collect(),
+            l2_accesses: rows.iter().map(|row| row.2).collect(),
+            energy_pj: rows.iter().map(|row| row.3).collect(),
         }
-        report
     }
 }
 

@@ -3,16 +3,16 @@
 //! The workspace-wide error surface for everything that can go wrong
 //! when preparing or running a frame simulation. Modeled on
 //! `dtexl_trace::TraceError`: a small closed enum whose variants name
-//! the layer that rejected the input, each carrying the human-readable
-//! detail the panicking API used to print.
+//! the layer that rejected the input, each carrying a human-readable
+//! detail.
 //!
 //! The leaf crates (`dtexl-scene`, `dtexl-sched`) keep their
 //! lightweight `String`-based validation results so they stay
 //! dependency-free; this type wraps them at the pipeline boundary.
-//! The historical panicking entry points ([`crate::FrameSim::run`] and
-//! friends) are thin wrappers that format a [`SimError`] into the same
-//! panic messages they always produced, so `#[should_panic]` callers
-//! and scripts matching on stderr keep working unchanged.
+//! Every [`crate::FrameSim`] entry point returns this type. The one
+//! panicking facade, `dtexl::Simulator::simulate_scene`, panics with
+//! the error's `Display` text, so `#[should_panic]` callers and scripts
+//! matching on stderr see the same messages as the typed path.
 
 use std::fmt;
 

@@ -206,129 +206,32 @@ pub struct FrameSim;
 
 impl FrameSim {
     /// Simulate one frame of `scene` under `schedule` on `config`'s
-    /// hardware.
-    ///
-    /// Thin panicking wrapper over [`try_run`](Self::try_run) for
-    /// callers that treat malformed input as a programming error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or scene is invalid (see
-    /// [`PipelineConfig::validate`] and [`Scene::validate`]), or if the
-    /// scene's texture ids are not dense (`textures[i].id() == i`).
-    #[must_use]
-    pub fn run(scene: &Scene, schedule: &ScheduleConfig, config: &PipelineConfig) -> FrameResult {
-        // lint: allow(no-panic) -- documented panicking convenience wrapper over try_run
-        Self::try_run(scene, schedule, config).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Like [`run`](Self::run), but with an explicit screen size. The
-    /// screen extent cannot be recovered from the scene itself (draws
-    /// may under- or overshoot it), so callers pass the resolution the
-    /// scene was generated for; [`run`](Self::run) assumes Table II's
-    /// 1960×768.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same invalid inputs as [`run`](Self::run); use
-    /// [`try_run_with_resolution`](Self::try_run_with_resolution) to
-    /// get a typed [`SimError`] instead.
-    #[must_use]
-    pub fn run_with_resolution(
-        scene: &Scene,
-        schedule: &ScheduleConfig,
-        config: &PipelineConfig,
-        width: u32,
-        height: u32,
-    ) -> FrameResult {
-        Self::try_run_with_resolution(scene, schedule, config, width, height)
-            // lint: allow(no-panic) -- documented panicking convenience wrapper over the try_ variant
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible variant of [`run`](Self::run).
+    /// hardware at `width × height`: [`FramePrefix::build`] followed by
+    /// the leg [`try_run_prefixed_probed`](Self::try_run_prefixed_probed)
+    /// runs. The screen extent cannot be recovered from the scene itself
+    /// (draws may under- or overshoot it), so callers pass the
+    /// resolution the scene was generated for.
     ///
     /// # Errors
     ///
     /// Returns a [`SimError`] when the configuration, fault plan or
-    /// scene is invalid. Never panics on malformed input.
+    /// scene is invalid (see [`FramePrefix::build`]). Never panics on
+    /// malformed input.
     pub fn try_run(
         scene: &Scene,
         schedule: &ScheduleConfig,
         config: &PipelineConfig,
-    ) -> Result<FrameResult, SimError> {
-        Self::try_run_sized(scene, schedule, config, None, &mut NullProbe)
-    }
-
-    /// Fallible variant of
-    /// [`run_with_resolution`](Self::run_with_resolution).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the configuration, fault plan or
-    /// scene is invalid. Never panics on malformed input.
-    pub fn try_run_with_resolution(
-        scene: &Scene,
-        schedule: &ScheduleConfig,
-        config: &PipelineConfig,
         width: u32,
         height: u32,
     ) -> Result<FrameResult, SimError> {
-        Self::try_run_sized(
-            scene,
-            schedule,
-            config,
-            Some((width, height)),
-            &mut NullProbe,
-        )
-    }
-
-    /// Like [`try_run_with_resolution`](Self::try_run_with_resolution),
-    /// but threading an observability probe through the functional
-    /// pass: the serial front half records one
-    /// [`Event::Raster`] per tile and the fragment stage one
-    /// [`Event::Mem`] per (tile, SC) subtile, in tile-major /
-    /// SC-ascending order — the order the shared memory levels see the
-    /// subtiles in. Busy/wait [`Event::Span`]s are *not*
-    /// emitted here; they come from frame-time composition
-    /// ([`compose_frame_probed`](crate::timing::compose_frame_probed))
-    /// over the returned [`StageDurations`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the configuration, fault plan or
-    /// scene is invalid. Never panics on malformed input.
-    pub fn try_run_probed<P: Probe>(
-        scene: &Scene,
-        schedule: &ScheduleConfig,
-        config: &PipelineConfig,
-        width: u32,
-        height: u32,
-        probe: &mut P,
-    ) -> Result<FrameResult, SimError> {
-        Self::try_run_sized(scene, schedule, config, Some((width, height)), probe)
-    }
-
-    fn try_run_sized<P: Probe>(
-        scene: &Scene,
-        schedule: &ScheduleConfig,
-        config: &PipelineConfig,
-        resolution: Option<(u32, u32)>,
-        probe: &mut P,
-    ) -> Result<FrameResult, SimError> {
-        config.validate()?;
-        scene.validate().map_err(SimError::Scene)?;
-        let (width, height) = resolution.unwrap_or((1960, 768));
-        fault_hooks(config);
         let prefix = FramePrefix::build(scene, config, width, height)?;
-        Ok(Self::run_leg(&prefix, schedule, config, probe))
+        Self::try_run_prefixed_probed(&prefix, schedule, config, &mut NullProbe)
     }
 
     /// Run one schedule leg over a prebuilt [`FramePrefix`] —
-    /// bit-identical to a fresh
-    /// [`try_run_with_resolution`](Self::try_run_with_resolution) of
-    /// the same scene, because the fresh path is implemented as
-    /// `FramePrefix::build` followed by this exact leg.
+    /// bit-identical to a fresh [`try_run`](Self::try_run) of the same
+    /// scene, because the fresh path is `FramePrefix::build` followed by
+    /// this exact leg.
     ///
     /// `config` must equal the prefix's build configuration; the
     /// wall-clock and allocation fault hooks still fire per leg, so
@@ -347,9 +250,13 @@ impl FrameSim {
     }
 
     /// [`try_run_prefixed`](Self::try_run_prefixed) with an
-    /// observability probe: the same per-leg [`Event::Raster`] /
-    /// [`Event::Mem`] stream as
-    /// [`try_run_probed`](Self::try_run_probed).
+    /// observability probe: the leg records one [`Event::Raster`] per
+    /// tile and one [`Event::Mem`] per (tile, SC) subtile, in
+    /// tile-major / SC-ascending order — the order the shared memory
+    /// levels see the subtiles in. Busy/wait [`Event::Span`]s are *not*
+    /// emitted here; they come from frame-time composition
+    /// ([`compose_frame_probed`](crate::timing::compose_frame_probed))
+    /// over the returned [`StageDurations`].
     ///
     /// # Errors
     ///
@@ -578,7 +485,7 @@ mod tests {
 
     fn small_result(schedule: ScheduleConfig) -> FrameResult {
         let scene = Game::GravityTetris.scene(&SceneSpec::new(256, 128, 0));
-        FrameSim::run_with_resolution(&scene, &schedule, &PipelineConfig::default(), 256, 128)
+        FrameSim::try_run(&scene, &schedule, &PipelineConfig::default(), 256, 128).unwrap()
     }
 
     #[test]
@@ -631,10 +538,8 @@ mod tests {
             upper_bound: true,
             ..cfg
         };
-        let split =
-            FrameSim::run_with_resolution(&scene, &ScheduleConfig::baseline(), &cfg, 256, 128);
-        let ub =
-            FrameSim::run_with_resolution(&scene, &ScheduleConfig::baseline(), &ub_cfg, 256, 128);
+        let split = FrameSim::try_run(&scene, &ScheduleConfig::baseline(), &cfg, 256, 128).unwrap();
+        let ub = FrameSim::try_run(&scene, &ScheduleConfig::baseline(), &ub_cfg, 256, 128).unwrap();
         assert!(
             ub.hierarchy.l2.accesses < split.hierarchy.l2.accesses,
             "upper bound {} must beat split {}",
@@ -680,7 +585,7 @@ mod tests {
             let scene = Game::CandyCrush.scene(&SceneSpec::new(w, h, 0));
             for sched in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
                 let r =
-                    FrameSim::run_with_resolution(&scene, &sched, &PipelineConfig::default(), w, h);
+                    FrameSim::try_run(&scene, &sched, &PipelineConfig::default(), w, h).unwrap();
                 assert_eq!(
                     r.tiles.len() as u32,
                     w.div_ceil(32) * h.div_ceil(32),
@@ -729,23 +634,25 @@ mod tests {
     fn late_z_quads_are_always_shaded() {
         use dtexl_scene::DepthMode;
         let mut scene = Game::TempleRun.scene(&SceneSpec::new(256, 128, 0));
-        let early = FrameSim::run_with_resolution(
+        let early = FrameSim::try_run(
             &scene,
             &ScheduleConfig::baseline(),
             &PipelineConfig::default(),
             256,
             128,
-        );
+        )
+        .unwrap();
         for d in &mut scene.draws {
             d.depth_mode = DepthMode::Late;
         }
-        let late = FrameSim::run_with_resolution(
+        let late = FrameSim::try_run(
             &scene,
             &ScheduleConfig::baseline(),
             &PipelineConfig::default(),
             256,
             128,
-        );
+        )
+        .unwrap();
         assert!(
             late.total_quads_shaded() > early.total_quads_shaded(),
             "late-Z disables early culling: {} vs {}",
@@ -764,8 +671,8 @@ mod tests {
         let scene = Game::GravityTetris.scene(&SceneSpec::new(256, 128, 0));
         let cfg = PipelineConfig::default();
         let ratio = |s: &dtexl_scene::Scene| {
-            let fg = FrameSim::run_with_resolution(s, &ScheduleConfig::baseline(), &cfg, 256, 128);
-            let cg = FrameSim::run_with_resolution(s, &ScheduleConfig::dtexl(), &cfg, 256, 128);
+            let fg = FrameSim::try_run(s, &ScheduleConfig::baseline(), &cfg, 256, 128).unwrap();
+            let cg = FrameSim::try_run(s, &ScheduleConfig::dtexl(), &cfg, 256, 128).unwrap();
             cg.hierarchy.l2.accesses as f64 / fg.hierarchy.l2.accesses as f64
         };
         let morton = ratio(&scene);
@@ -782,9 +689,10 @@ mod tests {
         let scene = Game::GravityTetris.scene(&SceneSpec::new(256, 128, 0));
         let sched = ScheduleConfig::dtexl();
         let cfg = PipelineConfig::default();
-        let plain = FrameSim::run_with_resolution(&scene, &sched, &cfg, 256, 128);
+        let plain = FrameSim::try_run(&scene, &sched, &cfg, 256, 128).unwrap();
         let mut sink = EventSink::new();
-        let probed = FrameSim::try_run_probed(&scene, &sched, &cfg, 256, 128, &mut sink)
+        let prefix = FramePrefix::build(&scene, &cfg, 256, 128).expect("valid inputs");
+        let probed = FrameSim::try_run_prefixed_probed(&prefix, &sched, &cfg, &mut sink)
             .expect("valid inputs");
 
         // Probing must not perturb the simulation.

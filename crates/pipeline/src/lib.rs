@@ -39,9 +39,10 @@
 //!
 //! let config = PipelineConfig::default();
 //! let scene = Game::GravityTetris.scene(&SceneSpec::new(256, 128, 0));
-//! let sim = FrameSim::run(&scene, &ScheduleConfig::baseline(), &config);
+//! let sim = FrameSim::try_run(&scene, &ScheduleConfig::baseline(), &config, 256, 128)?;
 //! assert!(sim.total_cycles(BarrierMode::Coupled)
 //!     >= sim.total_cycles(BarrierMode::Decoupled));
+//! # Ok::<(), dtexl_pipeline::SimError>(())
 //! ```
 
 #![forbid(unsafe_code)]

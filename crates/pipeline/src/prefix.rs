@@ -28,11 +28,12 @@
 //! 2 bytes per rasterized quad (its tile-local position), 8 per
 //! survivor ([`PrepQuad`]) and 4 per footprint line. `build` rejects
 //! with a typed [`SimError`] whatever would not fit: tiles over 512 px
-//! (`PipelineConfig::validate`), texture lines at or past 2^32, and
-//! more than 65,536 distinct shader profiles. The arenas grow by
-//! doubling and are shrunk once at the end; that overshoot sets the
-//! build's peak about as high as the retained prefix plus a leg does,
-//! so exact-size arenas would not lower a sweep job's peak.
+//! (`PipelineConfig::validate`), texture lines at or past 2^32, Morton
+//! textures over 65,536 texels a side, and more than 65,536 distinct
+//! shader profiles. The arenas grow by doubling and are shrunk once at
+//! the end; that overshoot sets the build's peak about as high as the
+//! retained prefix plus a leg does, so exact-size arenas would not
+//! lower a sweep job's peak.
 
 use crate::config::PipelineConfig;
 use crate::error::SimError;
@@ -45,7 +46,7 @@ use crate::zbuffer::ZBuffer;
 use dtexl_gmath::Rect;
 use dtexl_mem::{line_of, LineAddr};
 use dtexl_scene::{Scene, ShaderProfile};
-use dtexl_texture::{Sampler, TextureDesc};
+use dtexl_texture::{Sampler, TexelLayout, TextureDesc};
 use std::collections::BTreeMap;
 
 /// A post-early-Z survivor quad, reduced to what the fragment stage
@@ -76,11 +77,26 @@ pub(crate) fn unpack_pos(pos: u16) -> (u32, u32) {
     (u32::from(pos & 0xff), u32::from(pos >> 8))
 }
 
-/// Reject a texture table whose line addresses do not all fit the
-/// `u32` line arena: checked once per table, so [`push_footprint`]
-/// narrows without a per-line check.
-pub(crate) fn check_line_width(textures: &[TextureDesc]) -> Result<(), SimError> {
+/// Widest or tallest Morton texture whose texel coordinates all survive
+/// [`dtexl_texture::morton::spread_bits`], which keeps the low 16 bits
+/// of a coordinate.
+const MORTON_MAX_EXTENT: u32 = 1 << 16;
+
+/// Reject a texture table the footprint path cannot address exactly:
+/// a Morton texture wider or taller than [`MORTON_MAX_EXTENT`] (its
+/// far texels would alias the near ones' lines), or one whose line
+/// addresses do not all fit the `u32` line arena. Checked once per
+/// table, so [`push_footprint`] narrows without a per-line check.
+pub(crate) fn check_texture_table(textures: &[TextureDesc]) -> Result<(), SimError> {
     for t in textures {
+        if t.layout() == TexelLayout::Morton && t.width().max(t.height()) > MORTON_MAX_EXTENT {
+            return Err(SimError::Scene(format!(
+                "texture {} is {}x{}, past the {MORTON_MAX_EXTENT}-texel Morton extent",
+                t.id(),
+                t.width(),
+                t.height()
+            )));
+        }
         let last = t
             .base_addr()
             .checked_add(t.footprint_bytes())
@@ -97,7 +113,7 @@ pub(crate) fn check_line_width(textures: &[TextureDesc]) -> Result<(), SimError>
 
 /// Append the footprint of `quad` on its texture `tex` to the `u32`
 /// line arena `lines`, resolving it through `scratch`. `tex` must have
-/// passed [`check_line_width`]: this is the one place a line is
+/// passed [`check_texture_table`]: this is the one place a line is
 /// narrowed.
 pub(crate) fn push_footprint(
     quad: &Quad,
@@ -108,7 +124,10 @@ pub(crate) fn push_footprint(
     scratch.clear();
     Sampler::new(quad.shader.filter).quad_footprint_into(tex, quad.uv, scratch);
     lines.extend(scratch.iter().map(|&l| {
-        debug_assert!(u32::try_from(l).is_ok(), "line {l} past check_line_width");
+        debug_assert!(
+            u32::try_from(l).is_ok(),
+            "line {l} past check_texture_table"
+        );
         l as u32
     }));
 }
@@ -180,11 +199,14 @@ impl FramePrefix {
     ///
     /// # Errors
     ///
-    /// Returns a [`SimError`] when the configuration or scene is
-    /// invalid, exactly as [`crate::FrameSim::try_run_with_resolution`]
-    /// would, and [`SimError::Scene`] when a texture's lines do not fit
-    /// the 32-bit line arena or the survivors carry more than 65,536
-    /// distinct shader profiles.
+    /// Returns the [`PipelineConfig::validate`] error for an invalid
+    /// configuration or fault plan, [`SimError::SparseTextureIds`] when
+    /// the scene's texture ids are not dense, and [`SimError::Scene`]
+    /// when the scene fails [`Scene::validate`], a texture's lines do
+    /// not fit the 32-bit line arena, a Morton texture is over 65,536
+    /// texels a side, or the survivors carry more than 65,536 distinct
+    /// shader profiles. This is all the validation a fresh
+    /// [`crate::FrameSim::try_run`] does.
     pub fn build(
         scene: &Scene,
         config: &PipelineConfig,
@@ -204,7 +226,7 @@ impl FramePrefix {
                 });
             }
         }
-        check_line_width(&textures)?;
+        check_texture_table(&textures)?;
 
         // 1. Geometry phase.
         let mut geom = GeometryPipeline::new(config.vertex_cache);

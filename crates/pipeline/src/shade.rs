@@ -7,7 +7,7 @@
 //! subtiles tile-major, SC-ascending, so the shared levels see one
 //! fixed request order.
 
-use crate::prefix::{check_line_width, push_footprint};
+use crate::prefix::{check_texture_table, push_footprint};
 use crate::prim::Quad;
 use dtexl_mem::{LineAddr, TextureHierarchy};
 use dtexl_texture::TextureDesc;
@@ -177,8 +177,9 @@ impl ShaderCore {
     /// # Panics
     ///
     /// Panics if a quad references a texture not present in `textures`,
-    /// or if a texture's lines do not fit 32 bits (the frame prefix
-    /// rejects such a table with [`crate::SimError::Scene`]).
+    /// or if a texture's lines do not fit 32 bits or a Morton texture
+    /// exceeds 65,536 texels a side (the frame prefix rejects such a
+    /// table with [`crate::SimError::Scene`]).
     pub fn run_subtile(
         &self,
         sc: usize,
@@ -186,7 +187,7 @@ impl ShaderCore {
         textures: &[TextureDesc],
         hierarchy: &mut TextureHierarchy,
     ) -> (u64, ShaderCoreStats) {
-        let fits = check_line_width(textures);
+        let fits = check_texture_table(textures);
         assert!(fits.is_ok(), "{fits:?}");
         let mut lines: Vec<u32> = Vec::new();
         let mut footprint: Vec<LineAddr> = Vec::new();

@@ -25,17 +25,15 @@ use std::collections::VecDeque;
 /// means a published metric can depend on wall time, addresses or
 /// iteration order.
 pub const ROOTS: &[(&str, &str)] = &[
-    ("FrameSim", "run"),
-    ("FrameSim", "run_with_resolution"),
     ("FrameSim", "try_run"),
-    ("FrameSim", "try_run_with_resolution"),
-    ("FrameSim", "try_run_probed"),
     ("FrameSim", "try_run_prefixed"),
     ("FrameSim", "try_run_prefixed_probed"),
     ("Simulator", "simulate"),
+    ("Simulator", "simulate_scene"),
     ("Simulator", "simulate_sequence"),
     ("SweepJob", "simulate"),
     ("SweepJob", "simulate_with"),
+    ("SweepJob", "simulate_rollup"),
     ("JobMetrics", "of"),
 ];
 

@@ -15,7 +15,8 @@ fn main() {
     let (w, h) = (512u32, 256u32);
     let scene = Game::TempleRun.scene(&SceneSpec::new(w, h, 0));
     let cfg = PipelineConfig::default();
-    let r = FrameSim::run_with_resolution(&scene, &ScheduleConfig::dtexl(), &cfg, w, h);
+    let r = FrameSim::try_run(&scene, &ScheduleConfig::dtexl(), &cfg, w, h)
+        .expect("generated scene is valid");
 
     println!("{}", tile_imbalance_heatmap(&r));
 

@@ -55,7 +55,8 @@ fn main() {
                     order,
                     assignment,
                 };
-                let r = FrameSim::run_with_resolution(&scene, &sched, &config, W, H);
+                let r = FrameSim::try_run(&scene, &sched, &config, W, H)
+                    .expect("generated scene is valid");
                 let fps_c = CLOCK_HZ / r.total_cycles(BarrierMode::Coupled) as f64;
                 let fps_d = CLOCK_HZ / r.total_cycles(BarrierMode::Decoupled) as f64;
                 println!(

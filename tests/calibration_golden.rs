@@ -66,8 +66,8 @@ fn calibrated_metrics_are_bit_stable() {
     for g in &GOLDEN {
         let scene = g.game.scene(&SceneSpec::new(W, H, 0));
         let cfg = PipelineConfig::default();
-        let base = FrameSim::run_with_resolution(&scene, &ScheduleConfig::baseline(), &cfg, W, H);
-        let dtexl = FrameSim::run_with_resolution(&scene, &ScheduleConfig::dtexl(), &cfg, W, H);
+        let base = FrameSim::try_run(&scene, &ScheduleConfig::baseline(), &cfg, W, H).unwrap();
+        let dtexl = FrameSim::try_run(&scene, &ScheduleConfig::dtexl(), &cfg, W, H).unwrap();
         let alias = g.game.alias();
         assert_eq!(
             base.total_cycles(BarrierMode::Coupled),

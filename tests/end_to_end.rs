@@ -12,7 +12,7 @@ const H: u32 = 192;
 
 fn sim(game: Game, sched: &ScheduleConfig) -> dtexl_pipeline::FrameResult {
     let scene = game.scene(&SceneSpec::new(W, H, 0));
-    FrameSim::run_with_resolution(&scene, sched, &PipelineConfig::default(), W, H)
+    FrameSim::try_run(&scene, sched, &PipelineConfig::default(), W, H).unwrap()
 }
 
 #[test]
@@ -100,20 +100,22 @@ fn animation_changes_work_but_not_structure() {
     let f9 = Game::SonicDash.scene(&SceneSpec::new(W, H, 9));
     assert_eq!(f0.textures.len(), f9.textures.len(), "same assets");
     assert_ne!(f0, f9, "camera moved");
-    let r0 = FrameSim::run_with_resolution(
+    let r0 = FrameSim::try_run(
         &f0,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         W,
         H,
-    );
-    let r9 = FrameSim::run_with_resolution(
+    )
+    .unwrap();
+    let r9 = FrameSim::try_run(
         &f9,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         W,
         H,
-    );
+    )
+    .unwrap();
     assert_ne!(
         r0.total_cycles(BarrierMode::Coupled),
         r9.total_cycles(BarrierMode::Coupled),
@@ -124,13 +126,14 @@ fn animation_changes_work_but_not_structure() {
 #[test]
 fn empty_scene_is_handled() {
     let scene = Scene::default();
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         64,
         64,
-    );
+    )
+    .unwrap();
     assert_eq!(r.total_quads_shaded(), 0);
     assert_eq!(r.hierarchy.l2.accesses, 0);
     // Fixed per-tile costs (fetch, flush) still accrue.
@@ -144,7 +147,7 @@ fn upper_bound_mode_end_to_end() {
         upper_bound: true,
         ..PipelineConfig::default()
     };
-    let ub = FrameSim::run_with_resolution(&scene, &ScheduleConfig::baseline(), &cfg, W, H);
+    let ub = FrameSim::try_run(&scene, &ScheduleConfig::baseline(), &cfg, W, H).unwrap();
     let split = sim(Game::RiseOfKingdoms, &ScheduleConfig::baseline());
     assert!(ub.hierarchy.l2.accesses < split.hierarchy.l2.accesses);
     assert_eq!(
@@ -183,13 +186,14 @@ fn fragment_stage_does_not_allocate_per_quad() {
     let scene = Game::CandyCrush.scene(&SceneSpec::new(480, 192, 0));
     let meter = AllocMeter::new();
     let guard = meter_current_thread(&meter);
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::dtexl(),
         &PipelineConfig::default(),
         480,
         192,
-    );
+    )
+    .unwrap();
     drop(guard);
     assert!(r.total_l2_accesses() > 0, "frame must have run");
     assert!(
@@ -206,13 +210,14 @@ fn edge_tiles_flush_only_their_screen_intersection() {
     // 4 bytes per pixel rounded up to 64-byte lines *per tile*, not the
     // full 128×64 the tile grid spans.
     let scene = Game::GravityTetris.scene(&SceneSpec::new(100, 50, 0));
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         100,
         50,
-    );
+    )
+    .unwrap();
     let mut expected = 0u64;
     for ty in 0..2u64 {
         for tx in 0..4u64 {

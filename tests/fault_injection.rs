@@ -4,6 +4,7 @@
 
 use dtexl::gmath::{Mat4, Vec2, Vec3};
 use dtexl::texture::TextureDesc;
+use dtexl::{SimConfig, Simulator};
 use dtexl_pipeline::{
     BarrierMode, DramSpike, FaultPlan, FrameSim, LaneStall, PipelineConfig, SimError,
 };
@@ -33,19 +34,22 @@ fn one_tri_scene() -> Scene {
     }
 }
 
+/// The panicking facade's configuration for [`one_tri_scene`]: the
+/// baseline schedule at 64×64 (the game is ignored for a given scene).
+fn facade_config(pipeline: PipelineConfig) -> SimConfig {
+    SimConfig {
+        pipeline,
+        ..SimConfig::baseline(Game::CandyCrush).with_resolution(64, 64)
+    }
+}
+
 #[test]
 // lint: typed-sibling(dangling_texture_is_a_scene_error)
 #[should_panic(expected = "invalid scene")]
 fn scene_with_dangling_texture_panics() {
     let mut scene = one_tri_scene();
     scene.draws[0].texture = 99;
-    let _ = FrameSim::run_with_resolution(
-        &scene,
-        &ScheduleConfig::baseline(),
-        &PipelineConfig::default(),
-        64,
-        64,
-    );
+    let _ = Simulator::simulate_scene(&scene, &facade_config(PipelineConfig::default()));
 }
 
 #[test]
@@ -56,8 +60,7 @@ fn odd_tile_size_panics() {
         tile_size: 31,
         ..PipelineConfig::default()
     };
-    let _ =
-        FrameSim::run_with_resolution(&one_tri_scene(), &ScheduleConfig::baseline(), &cfg, 64, 64);
+    let _ = Simulator::simulate_scene(&one_tri_scene(), &facade_config(cfg));
 }
 
 #[test]
@@ -68,13 +71,7 @@ fn sparse_texture_ids_panic() {
     // Texture with id 5 at position 0: ids are no longer dense.
     scene.textures = vec![TextureDesc::new(5, 64, 64, TEXTURE_BASE_ADDR)];
     scene.draws[0].texture = 5;
-    let _ = FrameSim::run_with_resolution(
-        &scene,
-        &ScheduleConfig::baseline(),
-        &PipelineConfig::default(),
-        64,
-        64,
-    );
+    let _ = Simulator::simulate_scene(&scene, &facade_config(PipelineConfig::default()));
 }
 
 // --- typed-error parity: every panic above has a `try_*` sibling ---
@@ -83,7 +80,7 @@ fn sparse_texture_ids_panic() {
 fn dangling_texture_is_a_scene_error() {
     let mut scene = one_tri_scene();
     scene.draws[0].texture = 99;
-    let err = FrameSim::try_run_with_resolution(
+    let err = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
@@ -101,14 +98,8 @@ fn odd_tile_size_is_a_config_error() {
         tile_size: 31,
         ..PipelineConfig::default()
     };
-    let err = FrameSim::try_run_with_resolution(
-        &one_tri_scene(),
-        &ScheduleConfig::baseline(),
-        &cfg,
-        64,
-        64,
-    )
-    .unwrap_err();
+    let err =
+        FrameSim::try_run(&one_tri_scene(), &ScheduleConfig::baseline(), &cfg, 64, 64).unwrap_err();
     assert!(matches!(err, SimError::Config(_)));
     assert!(err
         .to_string()
@@ -120,7 +111,7 @@ fn sparse_texture_ids_are_a_typed_error() {
     let mut scene = one_tri_scene();
     scene.textures = vec![TextureDesc::new(5, 64, 64, TEXTURE_BASE_ADDR)];
     scene.draws[0].texture = 5;
-    let err = FrameSim::try_run_with_resolution(
+    let err = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
@@ -146,6 +137,31 @@ fn zero_resolution_spec_is_a_typed_error() {
     assert!(SceneSpec::try_new(64, 64, 0).is_ok());
 }
 
+/// Morton addressing keeps 16 bits per texel coordinate, so a texture
+/// over 65,536 texels a side would alias its far texels onto the near
+/// ones' lines: the texture table is rejected, naming the texture, and
+/// the widest addressable texture still runs.
+#[test]
+fn morton_textures_past_16_bit_coordinates_are_a_scene_error() {
+    let run = |width: u32| {
+        let mut scene = one_tri_scene();
+        scene.textures = vec![TextureDesc::new(0, width, 1, TEXTURE_BASE_ADDR)];
+        FrameSim::try_run(
+            &scene,
+            &ScheduleConfig::baseline(),
+            &PipelineConfig::default(),
+            64,
+            64,
+        )
+    };
+    let err = run(1 << 17).unwrap_err();
+    assert!(matches!(err, SimError::Scene(_)));
+    assert!(err.to_string().contains("texture 0 is 131072x1"), "{err}");
+    let r = run(1 << 16).expect("a 65,536-texel Morton texture is addressable");
+    assert!(r.total_quads_shaded() > 0);
+    assert!(r.hierarchy.l1_accesses() > 0);
+}
+
 #[test]
 fn invalid_fault_plan_is_a_fault_error() {
     let cfg = PipelineConfig {
@@ -158,14 +174,8 @@ fn invalid_fault_plan_is_a_fault_error() {
         },
         ..PipelineConfig::default()
     };
-    let err = FrameSim::try_run_with_resolution(
-        &one_tri_scene(),
-        &ScheduleConfig::baseline(),
-        &cfg,
-        64,
-        64,
-    )
-    .unwrap_err();
+    let err =
+        FrameSim::try_run(&one_tri_scene(), &ScheduleConfig::baseline(), &cfg, 64, 64).unwrap_err();
     assert!(matches!(err, SimError::Fault(_)));
     assert!(err.to_string().contains("lane 7"));
 }
@@ -192,13 +202,14 @@ fn degenerate_and_offscreen_geometry_is_dropped_not_crashed() {
             ..scene.draws[0].clone()
         });
     }
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         64,
         64,
-    );
+    )
+    .unwrap();
     assert_eq!(r.geometry.prims_assembled, 3);
     assert_eq!(
         r.geometry.prims_emitted, 1,
@@ -209,13 +220,14 @@ fn degenerate_and_offscreen_geometry_is_dropped_not_crashed() {
 #[test]
 fn single_pixel_resolution_works() {
     let scene = one_tri_scene();
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::dtexl(),
         &PipelineConfig::default(),
         2,
         2,
-    );
+    )
+    .unwrap();
     assert_eq!(r.tiles.len(), 1);
     assert!(r.total_cycles(BarrierMode::Decoupled) > 0);
 }
@@ -229,13 +241,14 @@ fn gigantic_triangle_is_clipped_cheaply() {
         Vertex::new(Vec3::new(120000.0, -60000.0, -1.0), Vec2::new(500.0, 0.0)),
         Vertex::new(Vec3::new(-60000.0, 120000.0, -1.0), Vec2::new(0.0, 500.0)),
     ];
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         64,
         64,
-    );
+    )
+    .unwrap();
     // The triangle covers the whole 64×64 screen: exactly 32×32 quads.
     assert_eq!(r.total_quads_shaded(), 32 * 32);
 }
@@ -248,13 +261,14 @@ fn zero_alu_shader_is_legal() {
         tex_samples: 1,
         filter: dtexl::texture::Filter::Bilinear,
     };
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         64,
         64,
-    );
+    )
+    .unwrap();
     assert!(r.total_quads_shaded() > 0);
     assert!(r.shader.alu_ops == 0);
     assert!(r.shader.tex_instructions > 0);
@@ -264,13 +278,14 @@ fn zero_alu_shader_is_legal() {
 fn extreme_uv_scale_stays_finite() {
     let mut scene = one_tri_scene();
     scene.draws[0].uv_scale = 1.0e4; // absurd texel density → deep mips
-    let r = FrameSim::run_with_resolution(
+    let r = FrameSim::try_run(
         &scene,
         &ScheduleConfig::baseline(),
         &PipelineConfig::default(),
         64,
         64,
-    );
+    )
+    .unwrap();
     assert!(r.total_quads_shaded() > 0);
     assert!(r.hierarchy.l1_accesses() > 0);
 }
@@ -284,7 +299,7 @@ fn game_frame(game: Game, fault: FaultPlan) -> dtexl_pipeline::FrameResult {
         fault,
         ..PipelineConfig::default()
     };
-    FrameSim::try_run_with_resolution(&scene, &ScheduleConfig::dtexl(), &cfg, w, h).unwrap()
+    FrameSim::try_run(&scene, &ScheduleConfig::dtexl(), &cfg, w, h).unwrap()
 }
 
 /// The paper's robustness claim, made executable: when one SC lane

@@ -79,7 +79,7 @@ fn digest(game: Game, mode: (&str, bool, bool, ReplacementKind)) -> u64 {
     presets()
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |hash, schedule| {
-            let r = FrameSim::run_with_resolution(&scene, schedule, &config, W, H);
+            let r = FrameSim::try_run(&scene, schedule, &config, W, H).unwrap();
             let frag: Vec<[u64; 4]> = r.tiles.iter().map(|t| t.frag_cycles).collect();
             let text = format!(
                 "{:?} {:?} {frag:?} {} {}",

@@ -16,7 +16,7 @@ use dtexl::obs::EventSink;
 use dtexl::profile::FrameProfile;
 use dtexl::SimConfig;
 use dtexl_mem::ReplacementKind;
-use dtexl_pipeline::{BarrierMode, FrameSim, PipelineConfig};
+use dtexl_pipeline::{BarrierMode, FramePrefix, FrameSim, PipelineConfig};
 use dtexl_scene::{Game, SceneSpec};
 use dtexl_sched::{NamedMapping, ScheduleConfig};
 
@@ -97,13 +97,14 @@ fn probed_digest(game: Game, mode: (&str, bool, bool, ReplacementKind), w: u32, 
     config.hierarchy.prefetch_next_line = prefetch_next_line;
     config.hierarchy.replacement = replacement;
     let scene = game.scene(&SceneSpec::new(w, h, 0));
+    let prefix = FramePrefix::build(&scene, &config, w, h).expect("valid scene");
     let mut presets = vec![ScheduleConfig::baseline()];
     presets.extend(NamedMapping::FIG16.iter().map(|m| m.config()));
     presets
         .iter()
         .fold(0xcbf2_9ce4_8422_2325, |hash, schedule| {
             let mut sink = EventSink::new();
-            let r = FrameSim::try_run_probed(&scene, schedule, &config, w, h, &mut sink)
+            let r = FrameSim::try_run_prefixed_probed(&prefix, schedule, &config, &mut sink)
                 .expect("valid scene");
             assert_eq!(sink.dropped(), 0);
             let text = format!(

@@ -88,7 +88,7 @@ proptest! {
     #[test]
     fn pipeline_invariants(scene in arb_scene(12), sched in arb_schedule()) {
         prop_assume!(scene.validate().is_ok());
-        let r = FrameSim::run_with_resolution(&scene, &sched, &PipelineConfig::default(), 128, 128);
+        let r = FrameSim::try_run(&scene, &sched, &PipelineConfig::default(), 128, 128).unwrap();
         let rasterized: u64 = r.tiles.iter()
             .map(|t| t.quads_rasterized.iter().map(|&q| u64::from(q)).sum::<u64>())
             .sum();
@@ -105,8 +105,8 @@ proptest! {
     fn shaded_quads_schedule_invariant(scene in arb_scene(10), a in arb_schedule(), b in arb_schedule()) {
         prop_assume!(scene.validate().is_ok());
         let cfg = PipelineConfig::default();
-        let ra = FrameSim::run_with_resolution(&scene, &a, &cfg, 128, 128);
-        let rb = FrameSim::run_with_resolution(&scene, &b, &cfg, 128, 128);
+        let ra = FrameSim::try_run(&scene, &a, &cfg, 128, 128).unwrap();
+        let rb = FrameSim::try_run(&scene, &b, &cfg, 128, 128).unwrap();
         prop_assert_eq!(ra.total_quads_shaded(), rb.total_quads_shaded());
         prop_assert_eq!(ra.shader.tex_instructions, rb.shader.tex_instructions);
     }
@@ -116,8 +116,8 @@ proptest! {
     fn determinism(scene in arb_scene(8), sched in arb_schedule()) {
         prop_assume!(scene.validate().is_ok());
         let cfg = PipelineConfig::default();
-        let a = FrameSim::run_with_resolution(&scene, &sched, &cfg, 128, 128);
-        let b = FrameSim::run_with_resolution(&scene, &sched, &cfg, 128, 128);
+        let a = FrameSim::try_run(&scene, &sched, &cfg, 128, 128).unwrap();
+        let b = FrameSim::try_run(&scene, &sched, &cfg, 128, 128).unwrap();
         prop_assert_eq!(a.total_cycles(BarrierMode::Coupled), b.total_cycles(BarrierMode::Coupled));
         prop_assert_eq!(a.total_l2_accesses(), b.total_l2_accesses());
         prop_assert_eq!(a.hierarchy, b.hierarchy);
@@ -141,8 +141,8 @@ proptest! {
             for d in &mut s.draws { d.opaque = false; }
             s
         };
-        let o = FrameSim::run_with_resolution(&opaque_scene, &sched, &cfg, 128, 128);
-        let b = FrameSim::run_with_resolution(&blended_scene, &sched, &cfg, 128, 128);
+        let o = FrameSim::try_run(&opaque_scene, &sched, &cfg, 128, 128).unwrap();
+        let b = FrameSim::try_run(&blended_scene, &sched, &cfg, 128, 128).unwrap();
         prop_assert!(o.total_quads_shaded() <= b.total_quads_shaded());
     }
 }
