@@ -1,13 +1,17 @@
 //! Set-associative cache model.
 //!
-//! [`SetAssocCache::access`] matches on the replacement policy once and
-//! runs one lookup body compiled for it, so the policy hooks inline. The
-//! body compares every way of the set (no early exit: a line is in at
-//! most one way); on a miss the policy picks the way to fill, invalid
-//! ways included. [`SetAssocCache::flush`] also rebuilds the policy.
+//! Each way is one `{tag, stamp}` record, so a set of four ways is one
+//! 64-byte host line. [`SetAssocCache::access`] runs one lookup body
+//! compiled for the cache's associativity (4 and 8 ways, any other
+//! width through the same body). It compares every way of the set (no
+//! early exit: a line is in at most one way). On a miss it fills the
+//! first way with the smallest stamp: a never-filled way while the set
+//! has one, else the LRU or FIFO victim. Random replacement instead
+//! draws from a seeded xorshift stream once the set is full. LRU stamps
+//! on a hit or a fill, FIFO and Random on a fill only.
+//! [`SetAssocCache::flush`] also restarts the stamps and the stream.
 
 use crate::hierarchy::ReplacementKind;
-use crate::replacement::{Fifo, Lru, PseudoRandom, ReplacementPolicy};
 use crate::stats::CacheStats;
 use crate::{LineAddr, LINE_BYTES};
 use serde::{Deserialize, Serialize};
@@ -119,97 +123,30 @@ pub struct AccessOutcome {
     pub evicted: Option<LineAddr>,
 }
 
-/// The cache's replacement policy, one variant per stock policy.
-#[derive(Debug)]
-enum PolicyImpl {
-    Lru(Lru),
-    Fifo(Fifo),
-    Random(PseudoRandom),
-}
-
-impl PolicyImpl {
-    fn new(kind: ReplacementKind, config: &CacheConfig) -> Self {
-        let sets = config.sets();
-        match kind {
-            ReplacementKind::Lru => Self::Lru(Lru::new(sets, config.ways)),
-            ReplacementKind::Fifo => Self::Fifo(Fifo::new(sets, config.ways)),
-            ReplacementKind::Random => Self::Random(PseudoRandom::new(config.ways, 0x5eed)),
-        }
-    }
-}
-
 /// Tag value marking an invalid (never filled) way. No real line can
 /// take this value: line addresses are byte addresses divided by the
 /// 64-byte line size, so they are bounded well below `u64::MAX`.
 pub(crate) const INVALID_TAG: LineAddr = LineAddr::MAX;
 
-/// The policy-independent state of a cache: geometry, tags, the
-/// logical clock and the statistics.
-#[derive(Debug)]
-struct TagArray {
-    ways: usize,
-    sets: usize,
-    /// `sets - 1` when the set count is a power of two: `line % sets`
-    /// is then a mask instead of a per-access 64-bit division (every
-    /// standard geometry is power-of-two; the modulo fallback keeps
-    /// arbitrary configs working, bit-identically).
-    set_mask: Option<u64>,
-    /// `tags[set * ways + way]`; [`INVALID_TAG`] = invalid. A bare
-    /// sentinel keeps the hit scan to one 8-byte compare per way
-    /// (an `Option<LineAddr>` doubles the tag array and the compare).
-    tags: Vec<LineAddr>,
-    tick: u64,
-    stats: CacheStats,
+/// Seed of the pseudo-random replacement stream (odd, as xorshift needs
+/// a non-zero state).
+const RANDOM_SEED: u64 = 0x5eed | 1;
+
+/// One way of a set: its tag and its replacement stamp side by side, so
+/// a lookup reads one record per way.
+#[derive(Debug, Clone, Copy)]
+struct Way {
+    /// The resident line; [`INVALID_TAG`] = never filled.
+    tag: LineAddr,
+    /// LRU: tick of the last hit or fill. FIFO and Random: tick of the
+    /// fill. 0 = never filled (the clock starts at 1).
+    stamp: u64,
 }
 
-impl TagArray {
-    #[inline]
-    fn set_of(&self, line: LineAddr) -> usize {
-        match self.set_mask {
-            Some(mask) => (line & mask) as usize,
-            None => (line % self.sets as u64) as usize,
-        }
-    }
-
-    /// The tags of `line`'s set.
-    #[inline]
-    fn set_tags(&self, line: LineAddr) -> &[LineAddr] {
-        &self.tags[self.set_of(line) * self.ways..][..self.ways]
-    }
-
-    /// One lookup under `policy`, filling `line` on a miss.
-    #[inline]
-    fn access<P: ReplacementPolicy>(&mut self, policy: &mut P, line: LineAddr) -> AccessOutcome {
-        self.tick += 1;
-        self.stats.accesses += 1;
-        let set = self.set_of(line);
-        let tags = &mut self.tags[set * self.ways..][..self.ways];
-        // A line is resident in at most one way, so every way can be
-        // compared without an early exit.
-        let mut hit_way = usize::MAX;
-        for (way, &tag) in tags.iter().enumerate() {
-            hit_way = std::hint::select_unpredictable(tag == line, way, hit_way);
-        }
-        if hit_way != usize::MAX {
-            policy.on_hit(set, hit_way, self.tick);
-            self.stats.hits += 1;
-            return AccessOutcome {
-                hit: true,
-                evicted: None,
-            };
-        }
-        self.stats.misses += 1;
-        let way = policy.fill(set, tags, self.tick);
-        debug_assert!(way < self.ways);
-        let old = std::mem::replace(&mut tags[way], line);
-        let evicted = (old != INVALID_TAG).then_some(old);
-        self.stats.evictions += u64::from(evicted.is_some());
-        AccessOutcome {
-            hit: false,
-            evicted,
-        }
-    }
-}
+const EMPTY: Way = Way {
+    tag: INVALID_TAG,
+    stamp: 0,
+};
 
 /// A set-associative cache with LRU, FIFO or pseudo-random replacement.
 ///
@@ -231,8 +168,22 @@ impl TagArray {
 pub struct SetAssocCache {
     config: CacheConfig,
     kind: ReplacementKind,
-    array: TagArray,
-    policy: PolicyImpl,
+    sets: usize,
+    /// `sets - 1` when the set count is a power of two: `line % sets`
+    /// is then a mask instead of a per-access 64-bit division (every
+    /// standard geometry is power-of-two; the modulo fallback keeps
+    /// arbitrary configs working, bit-identically).
+    set_mask: Option<u64>,
+    /// `ways[set * config.ways + way]`.
+    ways: Vec<Way>,
+    /// The logical clock: one tick per access, so it is also the access
+    /// count.
+    tick: u64,
+    hits: u64,
+    evictions: u64,
+    /// Random replacement's xorshift state; it advances only when a
+    /// full set evicts.
+    rng: u64,
 }
 
 impl SetAssocCache {
@@ -252,15 +203,13 @@ impl SetAssocCache {
         Self {
             config,
             kind,
-            array: TagArray {
-                ways: config.ways,
-                sets,
-                set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
-                tags: vec![INVALID_TAG; sets * config.ways],
-                tick: 0,
-                stats: CacheStats::default(),
-            },
-            policy: PolicyImpl::new(kind, &config),
+            sets,
+            set_mask: sets.is_power_of_two().then(|| sets as u64 - 1),
+            ways: vec![EMPTY; sets * config.ways],
+            tick: 0,
+            hits: 0,
+            evictions: 0,
+            rng: RANDOM_SEED,
         }
     }
 
@@ -272,8 +221,21 @@ impl SetAssocCache {
 
     /// Accumulated statistics.
     #[must_use]
-    pub fn stats(&self) -> &CacheStats {
-        &self.array.stats
+    pub fn stats(&self) -> CacheStats {
+        CacheStats {
+            accesses: self.tick,
+            hits: self.hits,
+            misses: self.tick - self.hits,
+            evictions: self.evictions,
+        }
+    }
+
+    #[inline]
+    fn set_of(&self, line: LineAddr) -> usize {
+        match self.set_mask {
+            Some(mask) => (line & mask) as usize,
+            None => (line % self.sets as u64) as usize,
+        }
     }
 
     /// Look up `line`, filling it on a miss. Returns hit/miss and any
@@ -284,10 +246,65 @@ impl SetAssocCache {
             line != INVALID_TAG,
             "line address is the invalid-tag sentinel"
         );
-        match &mut self.policy {
-            PolicyImpl::Lru(p) => self.array.access(p, line),
-            PolicyImpl::Fifo(p) => self.array.access(p, line),
-            PolicyImpl::Random(p) => self.array.access(p, line),
+        match self.config.ways {
+            4 => self.lookup::<4>(line),
+            8 => self.lookup::<8>(line),
+            _ => self.lookup::<0>(line),
+        }
+    }
+
+    /// The lookup body, compiled for `W` ways; `W == 0` reads the width
+    /// from the configuration.
+    #[inline(always)]
+    fn lookup<const W: usize>(&mut self, line: LineAddr) -> AccessOutcome {
+        let width = if W == 0 { self.config.ways } else { W };
+        self.tick += 1;
+        let set = self.set_of(line);
+        let ways = &mut self.ways[set * width..][..width];
+        // A line is resident in at most one way, so every way can be
+        // compared without an early exit.
+        let mut hit_way = usize::MAX;
+        for (w, way) in ways.iter().enumerate() {
+            hit_way = std::hint::select_unpredictable(way.tag == line, w, hit_way);
+        }
+        if hit_way != usize::MAX {
+            if self.kind == ReplacementKind::Lru {
+                ways[hit_way].stamp = self.tick;
+            }
+            self.hits += 1;
+            return AccessOutcome {
+                hit: true,
+                evicted: None,
+            };
+        }
+        // The first way with the smallest stamp: the first never-filled
+        // way while the set has one, else the least recent (LRU) or
+        // oldest (FIFO) fill. Random draws among the ways of a full set.
+        let (mut victim, mut oldest) = (0, u64::MAX);
+        for (w, way) in ways.iter().enumerate() {
+            victim = std::hint::select_unpredictable(way.stamp < oldest, w, victim);
+            oldest = oldest.min(way.stamp);
+        }
+        if self.kind == ReplacementKind::Random && oldest != 0 {
+            let mut x = self.rng ^ (set as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ self.tick;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.rng = x;
+            victim = (x % width as u64) as usize;
+        }
+        let old = std::mem::replace(
+            &mut ways[victim],
+            Way {
+                tag: line,
+                stamp: self.tick,
+            },
+        );
+        let evicted = (old.tag != INVALID_TAG).then_some(old.tag);
+        self.evictions += u64::from(evicted.is_some());
+        AccessOutcome {
+            hit: false,
+            evicted,
         }
     }
 
@@ -295,24 +312,24 @@ impl SetAssocCache {
     #[must_use]
     #[inline]
     pub fn probe(&self, line: LineAddr) -> bool {
-        self.array.set_tags(line).contains(&line)
+        let width = self.config.ways;
+        self.ways[self.set_of(line) * width..][..width]
+            .iter()
+            .any(|way| way.tag == line)
     }
 
-    /// Invalidate all contents and start the replacement policy afresh,
-    /// keeping statistics.
+    /// Invalidate all contents and restart the replacement state (stamps
+    /// back to 0, the random stream back to its seed), keeping
+    /// statistics.
     pub fn flush(&mut self) {
-        self.array.tags.fill(INVALID_TAG);
-        self.policy = PolicyImpl::new(self.kind, &self.config);
+        self.ways.fill(EMPTY);
+        self.rng = RANDOM_SEED;
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn resident_lines(&self) -> usize {
-        self.array
-            .tags
-            .iter()
-            .filter(|&&t| t != INVALID_TAG)
-            .count()
+        self.ways.iter().filter(|w| w.tag != INVALID_TAG).count()
     }
 }
 
@@ -452,6 +469,72 @@ mod tests {
         }
     }
 
+    /// A cache of one set of `ways` ways: every line lands in it.
+    fn one_set(ways: usize) -> CacheConfig {
+        CacheConfig {
+            size_bytes: 64 * ways as u64,
+            line_bytes: 64,
+            ways,
+            latency: 1,
+        }
+    }
+
+    #[test]
+    fn lru_fills_invalid_ways_first_then_evicts_least_recent() {
+        let mut c = SetAssocCache::new(one_set(4));
+        for line in 10..14 {
+            let out = c.access(line);
+            assert_eq!(out.evicted, None, "never-filled ways go first");
+        }
+        assert_eq!(c.resident_lines(), 4);
+        assert!(c.access(10).hit); // refresh line 10
+        assert_eq!(c.access(14).evicted, Some(11), "line 11 is now the oldest");
+    }
+
+    #[test]
+    fn lru_tracks_sets_independently() {
+        // Two sets of two ways: even lines in set 0, odd ones in set 1.
+        let mut c = SetAssocCache::new(tiny());
+        for line in [0, 2, 1, 3] {
+            c.access(line);
+        }
+        assert!(c.access(0).hit);
+        assert!(c.access(3).hit);
+        assert_eq!(c.access(4).evicted, Some(2));
+        assert_eq!(c.access(5).evicted, Some(1));
+    }
+
+    #[test]
+    fn fifo_ignores_rehits() {
+        let mut c = SetAssocCache::with_replacement(one_set(2), ReplacementKind::Fifo);
+        assert_eq!(c.access(10).evicted, None);
+        assert_eq!(c.access(11).evicted, None);
+        for _ in 0..3 {
+            assert!(c.access(10).hit, "a re-hit does not refresh");
+        }
+        assert_eq!(c.access(12).evicted, Some(10), "line 10 was filled first");
+    }
+
+    #[test]
+    fn random_fills_invalid_ways_first_and_is_deterministic() {
+        let mut a = SetAssocCache::with_replacement(one_set(4), ReplacementKind::Random);
+        let mut b = SetAssocCache::with_replacement(one_set(4), ReplacementKind::Random);
+        for line in [10, 11, 12, 13] {
+            assert_eq!(a.access(line).evicted, None, "never-filled ways go first");
+            b.access(line);
+        }
+        let mut victims = std::collections::BTreeSet::new();
+        for line in 14..114 {
+            let out = a.access(line);
+            assert_eq!(out, b.access(line), "same stream, same victims");
+            let victim = out.evicted.expect("a full set evicts");
+            assert!((10..line).contains(&victim), "evicted a resident line");
+            assert!(!a.probe(victim) && a.probe(line));
+            victims.insert(line - victim);
+        }
+        assert!(victims.len() > 1, "the victim's age varies");
+    }
+
     /// The lookup as it was before the policy picked the fill way,
     /// kept as a reference: a hit scan with an early exit, else the
     /// first invalid way, else the policy's victim; every hit or fill
@@ -558,6 +641,15 @@ mod tests {
             }
         }
 
+        fn probe(&self, line: LineAddr) -> bool {
+            let base = (line % self.sets) as usize * self.ways;
+            self.tags[base..base + self.ways].contains(&line)
+        }
+
+        fn resident_lines(&self) -> usize {
+            self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        }
+
         fn flush(&mut self) {
             self.tags.fill(INVALID_TAG);
             if self.kind == ReplacementKind::Fifo {
@@ -567,45 +659,113 @@ mod tests {
         }
     }
 
-    #[test]
-    fn access_matches_the_reference_lookup() {
-        let mut rng = 0x2545_f491_4f6c_dd1du64;
-        let mut next = move || {
+    /// Drive a cache and the reference through `accesses` lines drawn
+    /// from `next`, flushing both at each access index in `flushes`.
+    /// The working set cycles through half, twice and eight times the
+    /// capacity, so hits, invalid fills and evictions all occur. After
+    /// every access the outcomes and a probe of the neighbouring line
+    /// must agree; at each flush and at the end, the resident-line count
+    /// and the statistics.
+    fn differential(
+        config: CacheConfig,
+        kind: ReplacementKind,
+        accesses: usize,
+        flushes: &[usize],
+        next: &mut impl FnMut() -> u64,
+    ) {
+        let mut cache = SetAssocCache::with_replacement(config, kind);
+        let mut reference = Reference::new(config, kind);
+        let capacity = (config.sets() * config.ways) as u64;
+        let spans = [capacity / 2 + 1, 2 * capacity + 1, 8 * capacity + 1];
+        let what = |i: usize| format!("{kind:?} {}x{}, access {i}", config.sets(), config.ways);
+        for i in 0..accesses {
+            if flushes.contains(&i) {
+                assert_eq!(
+                    cache.resident_lines(),
+                    reference.resident_lines(),
+                    "{}",
+                    what(i)
+                );
+                cache.flush();
+                reference.flush();
+            }
+            let line = next() % spans[i * spans.len() / accesses];
+            let out = cache.access(line);
+            assert_eq!(out, reference.access(line), "{}, line {line}", what(i));
+            let near = line ^ 1;
+            assert_eq!(
+                cache.probe(near),
+                reference.probe(near),
+                "{}, probe {near}",
+                what(i)
+            );
+        }
+        assert_eq!(
+            cache.resident_lines(),
+            reference.resident_lines(),
+            "{}",
+            what(accesses)
+        );
+        assert_eq!(cache.stats(), reference.stats, "{}", what(accesses));
+    }
+
+    fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+        let mut rng = seed;
+        move || {
             rng ^= rng << 13;
             rng ^= rng >> 7;
             rng ^= rng << 17;
             rng
-        };
-        for kind in [
-            ReplacementKind::Lru,
-            ReplacementKind::Fifo,
-            ReplacementKind::Random,
-        ] {
+        }
+    }
+
+    const KINDS: [ReplacementKind; 3] = [
+        ReplacementKind::Lru,
+        ReplacementKind::Fifo,
+        ReplacementKind::Random,
+    ];
+
+    fn geometry(sets: usize, ways: usize) -> CacheConfig {
+        CacheConfig {
+            size_bytes: (sets * ways * 64) as u64,
+            line_bytes: 64,
+            ways,
+            latency: 1,
+        }
+    }
+
+    #[test]
+    fn access_matches_the_reference_lookup() {
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for kind in KINDS {
             for sets in [1, 3, 4, 6, 16] {
-                for ways in [1, 2, 4, 8, 16] {
-                    let config = CacheConfig {
-                        size_bytes: (sets * ways * 64) as u64,
-                        line_bytes: 64,
-                        ways,
-                        latency: 1,
-                    };
-                    let mut cache = SetAssocCache::with_replacement(config, kind);
-                    let mut reference = Reference::new(config, kind);
-                    // A working set of about twice the capacity: hits,
-                    // invalid fills and evictions all occur, and the
-                    // flush halfway makes every way invalid again.
-                    let span = 2 * (sets * ways) as u64 + 1;
-                    for i in 0..4000 {
-                        if i == 2000 {
-                            cache.flush();
-                            reference.flush();
-                        }
-                        let line = next() % span;
-                        let what = format!("{kind:?} {sets}x{ways}, access {i}, line {line}");
-                        assert_eq!(cache.access(line), reference.access(line), "{what}");
-                    }
-                    assert_eq!(*cache.stats(), reference.stats, "{kind:?} {sets}x{ways}");
+                for ways in [1, 2, 3, 4, 8, 16] {
+                    differential(geometry(sets, ways), kind, 4000, &[2000], &mut next);
                 }
+            }
+        }
+    }
+
+    /// The same oracle over millions of accesses (release profile): the
+    /// shipped geometries (the 64×4 L1, the 2048×8 L2, the 256×4
+    /// upper-bound L1) and set counts that are not powers of two.
+    #[test]
+    #[ignore]
+    fn access_matches_the_reference_lookup_large() {
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
+        for kind in KINDS {
+            for (sets, ways) in [
+                (64, 4),
+                (2048, 8),
+                (256, 4),
+                (48, 4),
+                (1000, 8),
+                (7, 3),
+                (96, 16),
+            ] {
+                let accesses = 1_200_000;
+                let flushes = [accesses / 3, 2 * accesses / 3 + 1];
+                differential(geometry(sets, ways), kind, accesses, &flushes, &mut next);
             }
         }
     }

@@ -180,8 +180,8 @@ impl TextureHierarchy {
     #[must_use]
     pub fn stats(&self) -> HierarchyStats {
         HierarchyStats {
-            l1: self.lanes.iter().map(|l| *l.l1().stats()).collect(),
-            l2: *self.shared.l2().stats(),
+            l1: self.lanes.iter().map(|l| l.l1().stats()).collect(),
+            l2: self.shared.l2().stats(),
             dram_accesses: self.shared.dram().requests(),
             distinct_lines: self.distinct_lines(),
         }

@@ -10,8 +10,9 @@
 //!
 //! All caches use 64-byte lines. This crate provides:
 //!
-//! * [`SetAssocCache`] — a set-associative cache model with pluggable
-//!   replacement ([`replacement`]), per-cache [`CacheStats`];
+//! * [`SetAssocCache`] — a set-associative cache model with LRU, FIFO or
+//!   pseudo-random replacement ([`ReplacementKind`]) and per-cache
+//!   [`CacheStats`];
 //! * [`TextureHierarchy`] — the private-L1s → shared-L2 → DRAM stack the
 //!   shader cores see, which is what DTexL's scheduling manipulates;
 //! * [`DramModel`] — deterministic 50–100-cycle latency model standing in
@@ -41,7 +42,6 @@ mod dram;
 mod energy_impl;
 mod hierarchy;
 mod lane;
-pub mod replacement;
 mod stats;
 
 pub use cache::{AccessOutcome, CacheConfig, SetAssocCache};

@@ -3,7 +3,7 @@
 use crate::config::{BarrierMode, PipelineConfig};
 use crate::error::SimError;
 use crate::geometry::GeometryStats;
-use crate::prefix::{unpack_pos, FramePrefix};
+use crate::prefix::{FramePrefix, SlotTable};
 use crate::shade::{ShaderCore, ShaderCoreStats};
 use crate::tiling::TilingStats;
 use crate::timing::{compose_frame, StageDurations};
@@ -288,16 +288,18 @@ impl FrameSim {
         probe: &mut P,
     ) -> FrameResult {
         let tsched = TileSchedule::build(schedule, prefix.tiles_w, prefix.tiles_h);
-        let qps = config.quads_per_side();
 
         // Partition pass, in schedule order: per-SC rasterized-quad
         // counts and, per (tile, SC), the survivor indices — one flat
         // index arena with per-subtile ranges instead of four
-        // `Vec<Quad>` re-merge buffers per tile.
+        // `Vec<Quad>` re-merge buffers per tile. A quad's SC is its
+        // slot in the grouping table, mapped through the tile's
+        // assignment.
+        let slots = SlotTable::new(schedule.grouping, config.quads_per_side());
         let mut legs: Vec<LegTile> = Vec::with_capacity(tsched.len());
         let mut sc_idx: Vec<u32> = Vec::with_capacity(prefix.quads.len());
         let mut buckets: [Vec<u32>; 4] = Default::default();
-        for (ti, (tx, ty), _assign) in tsched.iter() {
+        for (ti, (tx, ty), assign) in tsched.iter() {
             let tp = &prefix.tiles[(ty * prefix.tiles_w + tx) as usize];
             if probe.enabled() {
                 probe.record(Event::Raster(RasterSample {
@@ -310,16 +312,19 @@ impl FrameSim {
                 tile: (tx, ty),
                 ..TileRecord::default()
             };
+            let mut per_slot = [0u32; 4];
             for &pos in &prefix.rast_pos[span(tp.rast)] {
-                let (qx, qy) = unpack_pos(pos);
-                rec.quads_rasterized[tsched.sc_of_quad(ti, qx, qy, qps, qps)] += 1;
+                per_slot[slots.slot_of_pos(pos)] += 1;
+            }
+            for (&sc, n) in assign.iter().zip(per_slot) {
+                rec.quads_rasterized[usize::from(sc)] += n;
             }
             for b in &mut buckets {
                 b.clear();
             }
             for qi in tp.surv.0..tp.surv.1 {
-                let (qx, qy) = unpack_pos(prefix.quads[qi as usize].pos);
-                buckets[tsched.sc_of_quad(ti, qx, qy, qps, qps)].push(qi);
+                let slot = slots.slot_of_pos(prefix.quads[qi as usize].pos);
+                buckets[usize::from(assign[slot])].push(qi);
             }
             let mut sc = [(0u32, 0u32); 4];
             for (r, b) in sc.iter_mut().zip(&buckets) {

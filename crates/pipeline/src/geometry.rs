@@ -103,7 +103,7 @@ impl GeometryPipeline {
             }
         }
 
-        out.stats.vertex_cache = *self.vertex_cache.stats();
+        out.stats.vertex_cache = self.vertex_cache.stats();
         // 1 cycle per vertex issue + 1 per assembled primitive, with
         // 4-wide memory-level parallelism on miss latency.
         out.stats.cycles = out.stats.vertices + out.stats.prims_assembled + miss_latency / 4;

@@ -46,6 +46,7 @@ use crate::zbuffer::ZBuffer;
 use dtexl_gmath::Rect;
 use dtexl_mem::{line_of, LineAddr};
 use dtexl_scene::{Scene, ShaderProfile};
+use dtexl_sched::QuadGrouping;
 use dtexl_texture::{Sampler, TexelLayout, TextureDesc};
 use std::collections::BTreeMap;
 
@@ -75,6 +76,40 @@ fn pack_pos(qx: u32, qy: u32) -> u16 {
 /// Inverse of [`pack_pos`]: `(qx, qy)` within the tile.
 pub(crate) fn unpack_pos(pos: u16) -> (u32, u32) {
     (u32::from(pos & 0xff), u32::from(pos >> 8))
+}
+
+/// A quad grouping's tile-local position → subtile-slot map, built once
+/// per leg. A quad's SC is then one table load mapped through the
+/// tile's slot → SC assignment
+/// ([`dtexl_sched::TileSchedule::assignment`]), not a
+/// [`QuadGrouping::subtile_of`] call per quad.
+pub(crate) struct SlotTable {
+    qps: u32,
+    /// `slots[qy * qps + qx]`, each in `0..4`.
+    slots: Vec<u8>,
+}
+
+impl SlotTable {
+    /// The table of `grouping` for tiles of `qps × qps` quads.
+    pub(crate) fn new(grouping: QuadGrouping, qps: u32) -> Self {
+        let slots = (0..qps)
+            .flat_map(|qy| (0..qps).map(move |qx| grouping.subtile_of(qx, qy, qps, qps) as u8))
+            .collect();
+        Self { qps, slots }
+    }
+
+    /// The slot of the quad at `(qx, qy)` in its tile.
+    #[inline]
+    pub(crate) fn slot(&self, qx: u32, qy: u32) -> usize {
+        usize::from(self.slots[(qy * self.qps + qx) as usize])
+    }
+
+    /// The slot of a [`pack_pos`]ed position.
+    #[inline]
+    pub(crate) fn slot_of_pos(&self, pos: u16) -> usize {
+        let (qx, qy) = unpack_pos(pos);
+        self.slot(qx, qy)
+    }
 }
 
 /// Widest or tallest Morton texture whose texel coordinates all survive
@@ -533,6 +568,36 @@ mod tests {
     fn positions_pack_one_byte_per_axis() {
         for (qx, qy) in [(0, 0), (15, 3), (255, 255), (7, 200)] {
             assert_eq!(unpack_pos(pack_pos(qx, qy)), (qx, qy));
+        }
+    }
+
+    #[test]
+    fn slot_table_and_assignment_equal_sc_of_quad() {
+        use dtexl_sched::{AssignMode, ScheduleConfig, TileOrder, TileSchedule};
+        for grouping in QuadGrouping::ALL {
+            let schedule = ScheduleConfig {
+                grouping,
+                order: TileOrder::HILBERT8,
+                assignment: AssignMode::Flip2,
+            };
+            let tsched = TileSchedule::build(&schedule, 3, 3);
+            for qps in [1, 2, 16, 256] {
+                let table = SlotTable::new(grouping, qps);
+                for (ti, _, assign) in tsched.iter() {
+                    for qy in 0..qps {
+                        for qx in 0..qps {
+                            let want = tsched.sc_of_quad(ti, qx, qy, qps, qps);
+                            let pos = pack_pos(qx, qy);
+                            assert_eq!(
+                                usize::from(assign[table.slot_of_pos(pos)]),
+                                want,
+                                "{} tile {ti}, qps {qps}, quad ({qx}, {qy})",
+                                grouping.name()
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -12,6 +12,7 @@
 
 use crate::config::PipelineConfig;
 use crate::geometry::GeometryPipeline;
+use crate::prefix::SlotTable;
 use crate::prim::Quad;
 use crate::raster::Rasterizer;
 use crate::tiling::TilingEngine;
@@ -137,13 +138,13 @@ impl Renderer {
         let raster = Rasterizer::new(config.tile_size);
         let mut zbuf = ZBuffer::new(config.tile_size);
         let screen = Rect::new(0, 0, width as i32, height as i32);
-        let qps = config.quads_per_side();
+        let slots = SlotTable::new(schedule.grouping, config.quads_per_side());
 
         let mut image = Image::new(width, height);
         let mut tile_quads: Vec<Quad> = Vec::new();
         let mut per_sc: [Vec<Quad>; 4] = Default::default();
 
-        for (ti, (tx, ty), _assign) in tsched.iter() {
+        for (_, (tx, ty), assign) in tsched.iter() {
             let tile_px = (tx * config.tile_size) as i32;
             let tile_py = (ty * config.tile_size) as i32;
             tile_quads.clear();
@@ -171,7 +172,7 @@ impl Renderer {
                     surviving
                 };
                 if mask != 0 {
-                    let sc = tsched.sc_of_quad(ti, q.qx, q.qy, qps, qps);
+                    let sc = usize::from(assign[slots.slot(q.qx, q.qy)]);
                     let mut alive = q.clone();
                     alive.mask = mask;
                     per_sc[sc].push(alive);

@@ -121,16 +121,22 @@ impl Warps {
 /// line fetches in parallel; successive samples of a warp are
 /// dependent. The lines are dealt round-robin over the `samples`
 /// sample instructions, and each sample waits for its slowest line.
-fn sample_stall(latencies: &[u32], samples: usize) -> u64 {
-    (0..samples.min(latencies.len()))
-        .map(|g| {
-            latencies[g..]
-                .iter()
-                .step_by(samples)
-                .max()
-                .map_or(0, |&l| u64::from(l))
-        })
-        .sum()
+///
+/// One pass: the first `samples` latencies (one per sample that got a
+/// line) take the running maximum of each later row of `samples` in
+/// place, then are summed. `latencies` is left folded.
+fn sample_stall(latencies: &mut [u32], samples: usize) -> u64 {
+    let groups = samples.min(latencies.len());
+    if groups == 0 {
+        return 0;
+    }
+    let (maxima, rest) = latencies.split_at_mut(groups);
+    for row in rest.chunks(groups) {
+        for (max, &l) in maxima.iter_mut().zip(row) {
+            *max = (*max).max(l);
+        }
+    }
+    maxima.iter().map(|&l| u64::from(l)).sum()
 }
 
 /// Warp-level shader-core model.
@@ -243,7 +249,7 @@ impl ShaderCore {
             let issue = quad.alu_ops + quad.tex_samples;
             warps.dispatch(
                 u64::from(issue) + misses * u64::from(self.miss_fill_cycles),
-                sample_stall(&latencies, quad.tex_samples.max(1) as usize),
+                sample_stall(&mut latencies, quad.tex_samples.max(1) as usize),
             );
             l1_misses += misses;
             stats.quads += 1;
@@ -405,6 +411,70 @@ mod tests {
             big.occupancy()
         );
         assert!(big.occupancy() <= 1.0 && small.occupancy() > 0.0);
+    }
+
+    /// The stall as first defined: per sample, the maximum over its
+    /// stride of the latency list.
+    fn sample_stall_by_stride(latencies: &[u32], samples: usize) -> u64 {
+        (0..samples.min(latencies.len()))
+            .map(|g| {
+                latencies[g..]
+                    .iter()
+                    .step_by(samples)
+                    .max()
+                    .map_or(0, |&l| u64::from(l))
+            })
+            .sum()
+    }
+
+    #[test]
+    fn sample_stall_matches_the_stride_definition() {
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        for case in 0..20_000 {
+            let len = (next() % 41) as usize;
+            let samples = 1 + (next() % 6) as usize;
+            // Few distinct values, so maxima often tie within a group.
+            let palette = [1, 13, 63 + (next() % 50) as u32, 200];
+            let latencies: Vec<u32> = (0..len).map(|_| palette[(next() % 4) as usize]).collect();
+            let want = sample_stall_by_stride(&latencies, samples);
+            let mut folded = latencies.clone();
+            assert_eq!(
+                sample_stall(&mut folded, samples),
+                want,
+                "case {case}: {latencies:?} over {samples} samples"
+            );
+        }
+        assert_eq!(sample_stall(&mut [], 3), 0);
+        assert_eq!(
+            sample_stall(&mut [5, 9, 7], 1),
+            9,
+            "one sample waits for the slowest line"
+        );
+        assert_eq!(
+            sample_stall(&mut [5, 9, 7], 4),
+            21,
+            "one line per sample: the sum"
+        );
+        assert_eq!(sample_stall(&mut [5, 9, 7, 1, 2], 2), 7 + 9);
+    }
+
+    #[test]
+    fn dispatch_picks_the_first_of_tied_earliest_slots() {
+        let mut warps = Warps::new(4);
+        warps.slot_free = vec![30, 10, 20, 10];
+        warps.dispatch(2, 5);
+        // Slots 1 and 3 both free at 10; slot 1 wins. The port starts at
+        // 10, is busy until 12 and the slot frees at 12 + 5.
+        assert_eq!(warps.slot_free, [30, 17, 20, 10]);
+        assert_eq!(warps.port, 12);
+        warps.dispatch(1, 0);
+        assert_eq!(warps.slot_free, [30, 17, 20, 13], "then slot 3");
     }
 
     #[test]

@@ -137,7 +137,7 @@ impl TilingEngine {
             lists,
             stats: TilingStats {
                 entries,
-                tile_cache: *self.tile_cache.stats(),
+                tile_cache: self.tile_cache.stats(),
                 // One cycle per entry plus amortized miss latency.
                 build_cycles: entries + prims.len() as u64 + miss_latency / 4,
             },

@@ -179,7 +179,10 @@ impl TileSchedule {
     }
 
     /// Shader core for a quad at `(qx, qy)` within the `i`-th tile
-    /// (quad coordinates local to the tile).
+    /// (quad coordinates local to the tile). The frame simulator reads
+    /// the grouping's slots from a table built once per leg and maps
+    /// them through [`assignment`](Self::assignment); this is the
+    /// reference that table is tested against.
     ///
     /// # Panics
     ///
