@@ -41,6 +41,9 @@
 //! and how many frames `sim --frames` simulates at once; each frame is
 //! one serial simulation, so results do not depend on it.
 //!
+//! `dtexl --help` lists the commands, and `dtexl <command> --help`
+//! (`-h` alike, `sweep` subcommands included) prints a command's flags.
+//!
 //! `--format json` (any command) switches error reporting to one JSON
 //! object per line on stderr; `sweep` also emits its per-job records as
 //! JSON lines on stdout.
@@ -161,6 +164,7 @@ use std::process::ExitCode;
 use std::sync::{Mutex, OnceLock};
 
 mod args;
+mod help;
 mod signals;
 
 use args::Args;
@@ -184,10 +188,27 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    let help = args.flag("--help") | args.flag("-h");
     let Some(command) = args.subcommand() else {
+        if help {
+            println!("{}", help::TOP);
+            return ExitCode::SUCCESS;
+        }
         report_error(format, usage());
         return ExitCode::FAILURE;
     };
+    if help {
+        let command = match args.subcommand() {
+            Some(sub) if command == "sweep" => format!("sweep {sub}"),
+            _ => command,
+        };
+        let Some(text) = help::command(&command) else {
+            report_error(format, &format!("unknown command '{command}'\n{}", usage()));
+            return ExitCode::FAILURE;
+        };
+        println!("{text}");
+        return ExitCode::SUCCESS;
+    }
     let result = match command.as_str() {
         "list" => cmd_list().map(|()| ExitCode::SUCCESS),
         "sim" => cmd_sim(&mut args).map(|()| ExitCode::SUCCESS),
@@ -218,7 +239,7 @@ fn report_error(format: Format, message: &str) {
 
 fn usage() -> &'static str {
     "usage: dtexl <list|sim|sweep|profile|render|characterize|trace-save|trace-sim> [options]\n\
-     run `dtexl list` for games and schedules"
+     run `dtexl --help` for the commands, `dtexl list` for games and schedules"
 }
 
 fn cmd_list() -> Result<(), String> {

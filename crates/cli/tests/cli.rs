@@ -440,3 +440,148 @@ fn named_schedules_are_accepted() {
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("CG-yrect/S-order/flp1"));
 }
+
+/// The body of `fn name(` in `src` (from its opening brace to the
+/// matching close), skipping braces inside string and char literals
+/// and line comments.
+fn fn_body<'s>(src: &'s str, name: &str) -> &'s str {
+    let start = src
+        .find(&format!("fn {name}("))
+        .unwrap_or_else(|| panic!("no fn {name} in main.rs"));
+    let open = start + src[start..].find('{').expect("fn body");
+    let bytes = src.as_bytes();
+    let (mut depth, mut i) = (0usize, open);
+    while i < bytes.len() {
+        match bytes[i] {
+            b'"' => {
+                i += 1;
+                while bytes[i] != b'"' {
+                    i += if bytes[i] == b'\\' { 2 } else { 1 };
+                }
+            }
+            // A char literal ('x' or '\n'); a lifetime has no closing quote.
+            b'\'' if bytes.get(i + 2) == Some(&b'\'') => i += 2,
+            b'\'' if bytes.get(i + 1) == Some(&b'\\') => i += 3,
+            b'/' if bytes.get(i + 1) == Some(&b'/') => {
+                while bytes[i] != b'\n' {
+                    i += 1;
+                }
+            }
+            b'{' => depth += 1,
+            b'}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return &src[open..=i];
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    panic!("unbalanced fn {name}")
+}
+
+/// Every `"--flag"` literal in the parsing bodies `fns` of main.rs and
+/// in the `parse_*` helpers (and `FleetFlags::parse`) they call.
+fn parsed_flags(src: &str, fns: &[&str]) -> std::collections::BTreeSet<String> {
+    let mut todo: Vec<String> = fns.iter().map(|f| f.to_string()).collect();
+    let mut seen = std::collections::BTreeSet::new();
+    let mut flags = std::collections::BTreeSet::new();
+    while let Some(name) = todo.pop() {
+        if !seen.insert(name.clone()) {
+            continue;
+        }
+        let body = fn_body(src, &name);
+        for (i, _) in body.match_indices("\"--") {
+            let lit = &body[i + 1..];
+            let end = lit
+                .find(|c: char| !(c == '-' || c.is_ascii_alphanumeric()))
+                .unwrap_or(lit.len());
+            flags.insert(lit[..end].to_string());
+        }
+        for (i, _) in body.match_indices("parse") {
+            let call = &body[i..];
+            let end = call
+                .find(|c: char| !(c == '_' || c.is_ascii_alphanumeric()))
+                .unwrap_or(call.len());
+            let qualified = body[..i].ends_with("FleetFlags::");
+            if call[end..].starts_with('(') && (qualified || call.starts_with("parse_")) {
+                todo.push(call[..end].to_string());
+            }
+        }
+    }
+    flags
+}
+
+#[test]
+fn help_names_every_flag_each_command_parses() {
+    let src = include_str!("../src/main.rs");
+    for (command, fns) in [
+        ("list", &["cmd_list"][..]),
+        ("sim", &["cmd_sim"]),
+        ("sweep", &["cmd_sweep"]),
+        ("sweep dispatch", &["cmd_sweep_dispatch"]),
+        ("sweep submit", &["cmd_sweep_submit"]),
+        ("sweep daemon", &["cmd_sweep_daemon"]),
+        ("sweep status", &["cmd_sweep_status"]),
+        ("sweep merge", &["cmd_sweep_merge"]),
+        ("sweep canon", &["cmd_sweep_canon"]),
+        ("profile", &["cmd_profile", "cmd_profile_diff"]),
+        ("render", &["cmd_render"]),
+        ("characterize", &["cmd_characterize"]),
+        ("trace-save", &["cmd_trace_save"]),
+        ("trace-sim", &["cmd_trace_sim"]),
+    ] {
+        let mut args: Vec<&str> = command.split(' ').collect();
+        for help in ["--help", "-h"] {
+            args.push(help);
+            let out = dtexl(&args);
+            assert!(out.status.success(), "{command} {help} failed");
+            let text = String::from_utf8_lossy(&out.stdout);
+            assert!(text.starts_with("usage: dtexl"), "{command}: {text}");
+            for flag in parsed_flags(src, fns) {
+                assert!(
+                    text.contains(&flag),
+                    "`dtexl {command} --help` omits {flag}"
+                );
+            }
+            args.pop();
+        }
+    }
+    // The scan sees what a command parses: sweep's shared job flags
+    // come through `parse_job_specs`, the fleet's through
+    // `FleetFlags::parse`.
+    assert!(parsed_flags(src, &["cmd_sweep"]).contains("--games"));
+    assert!(parsed_flags(src, &["cmd_sweep_daemon"]).contains("--poison-threshold"));
+}
+
+#[test]
+fn top_level_help_lists_every_command() {
+    for help in ["--help", "-h"] {
+        let out = dtexl(&[help]);
+        assert!(out.status.success());
+        let text = String::from_utf8_lossy(&out.stdout);
+        for command in [
+            "list",
+            "sim",
+            "sweep",
+            "dispatch",
+            "submit",
+            "daemon",
+            "status",
+            "merge",
+            "canon",
+            "profile",
+            "render",
+            "characterize",
+            "trace-save",
+            "trace-sim",
+            "--format",
+        ] {
+            assert!(text.contains(command), "`dtexl {help}` omits {command}");
+        }
+    }
+    let out = dtexl(&["nope", "--help"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command 'nope'"));
+}

@@ -17,7 +17,7 @@ use crate::prim::Quad;
 use crate::raster::Rasterizer;
 use crate::tiling::TilingEngine;
 use crate::zbuffer::ZBuffer;
-use dtexl_gmath::{interp::attr_derivatives, Rect};
+use dtexl_gmath::Rect;
 use dtexl_scene::Scene;
 use dtexl_sched::{ScheduleConfig, TileSchedule};
 use dtexl_texture::Sampler;
@@ -197,10 +197,7 @@ fn blend_quad(image: &mut Image, q: &Quad, scene: &Scene, tile_px: i32, tile_py:
     let tex = scene.texture(q.texture).expect("validated scene");
     let sampler = Sampler::new(q.shader.filter);
     // Per-quad LOD from the UV footprint, as the texture unit computes.
-    let scale = dtexl_gmath::Vec2::new(tex.width() as f32, tex.height() as f32);
-    let texel = q.uv.map(|uv| uv.mul_elem(scale));
-    let (ddx, ddy) = attr_derivatives(texel);
-    let lod = ddx.length().max(ddy.length()).max(1e-6).log2().max(0.0);
+    let lod = sampler.lod(tex, q.uv);
 
     for (i, (dx, dy)) in [(0u32, 0u32), (1, 0), (0, 1), (1, 1)].iter().enumerate() {
         if q.mask & (1 << i) == 0 {

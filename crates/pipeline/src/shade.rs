@@ -7,7 +7,7 @@
 //! subtiles tile-major, SC-ascending, so the shared levels see one
 //! fixed request order.
 
-use crate::prefix::{check_texture_table, push_footprint};
+use crate::prefix::{check_texture_table, resolve_footprints};
 use crate::prim::Quad;
 use dtexl_mem::{LineAddr, TextureHierarchy};
 use dtexl_texture::TextureDesc;
@@ -196,14 +196,8 @@ impl ShaderCore {
         let fits = check_texture_table(textures);
         assert!(fits.is_ok(), "{fits:?}");
         let mut lines: Vec<u32> = Vec::new();
-        let mut footprint: Vec<LineAddr> = Vec::new();
         let mut ends = Vec::with_capacity(quads.len());
-        for quad in quads {
-            let tex = &textures[quad.texture as usize];
-            debug_assert_eq!(tex.id(), quad.texture, "texture table must be id-indexed");
-            push_footprint(quad, tex, &mut footprint, &mut lines);
-            ends.push(lines.len());
-        }
+        resolve_footprints(quads, textures, &mut lines, |end| ends.push(end));
         let prepared = quads.iter().zip(&ends).scan(0, |start, (quad, &end)| {
             let lines = &lines[*start..end];
             *start = end;

@@ -38,6 +38,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod batch;
 pub mod morton;
 mod sampler;
 mod texture;

@@ -12,7 +12,13 @@
 #[must_use]
 #[inline]
 pub fn spread_bits(v: u32) -> u64 {
-    let mut x = u64::from(v & 0xFFFF);
+    u64::from(spread16(v))
+}
+
+/// [`spread_bits`] at the 32 bits its result fits in.
+#[inline]
+pub(crate) fn spread16(v: u32) -> u32 {
+    let mut x = v & 0xFFFF;
     x = (x | (x << 8)) & 0x00FF_00FF;
     x = (x | (x << 4)) & 0x0F0F_0F0F;
     x = (x | (x << 2)) & 0x3333_3333;
