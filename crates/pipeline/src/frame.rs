@@ -4,7 +4,7 @@ use crate::config::{BarrierMode, PipelineConfig};
 use crate::error::SimError;
 use crate::geometry::GeometryStats;
 use crate::prefix::{FramePrefix, SlotTable};
-use crate::shade::{ShaderCore, ShaderCoreStats};
+use crate::shade::{PreparedQuad, ShaderCore, ShaderCoreStats};
 use crate::tiling::TilingStats;
 use crate::timing::{compose_frame, StageDurations};
 use dtexl_mem::energy::EnergyEvents;
@@ -279,7 +279,7 @@ impl FrameSim {
     }
 
     /// The schedule-dependent remainder of the simulation: partition
-    /// the prefix arenas under `schedule`, then run the fragment stage
+    /// the prefix's tiles under `schedule`, then run the fragment stage
     /// (the hierarchy walk and warp timing) per subtile.
     fn run_leg<P: Probe>(
         prefix: &FramePrefix,
@@ -288,19 +288,22 @@ impl FrameSim {
         probe: &mut P,
     ) -> FrameResult {
         let tsched = TileSchedule::build(schedule, prefix.tiles_w, prefix.tiles_h);
+        let tile_at = |(tx, ty): (u32, u32)| &prefix.tiles[(ty * prefix.tiles_w + tx) as usize];
 
-        // Partition pass, in schedule order: per-SC rasterized-quad
-        // counts and, per (tile, SC), the survivor indices — one flat
-        // index arena with per-subtile ranges instead of four
-        // `Vec<Quad>` re-merge buffers per tile. A quad's SC is its
-        // slot in the grouping table, mapped through the tile's
-        // assignment.
+        // Partition pass, in schedule order: the fetch and raster
+        // durations, per-SC rasterized-quad counts and, per (tile, SC),
+        // the survivors' tile-local indices — one flat index arena with
+        // per-subtile ranges instead of four `Vec<Quad>` re-merge
+        // buffers per tile. A quad's SC is its slot in the grouping
+        // table, mapped through the tile's assignment.
         let slots = SlotTable::new(schedule.grouping, config.quads_per_side());
+        let survivors = prefix.tiles.iter().map(|t| t.quads.len()).sum();
         let mut legs: Vec<LegTile> = Vec::with_capacity(tsched.len());
-        let mut sc_idx: Vec<u32> = Vec::with_capacity(prefix.quads.len());
+        let mut sc_idx: Vec<u32> = Vec::with_capacity(survivors);
         let mut buckets: [Vec<u32>; 4] = Default::default();
-        for (ti, (tx, ty), assign) in tsched.iter() {
-            let tp = &prefix.tiles[(ty * prefix.tiles_w + tx) as usize];
+        let mut durations = StageDurations::default();
+        for (ti, tile, assign) in tsched.iter() {
+            let tp = tile_at(tile);
             if probe.enabled() {
                 probe.record(Event::Raster(RasterSample {
                     tile: ti as u32,
@@ -308,12 +311,18 @@ impl FrameSim {
                     quads: tp.raster_quads,
                 }));
             }
+            durations
+                .fetch
+                .push(4 + u64::from(tp.prims) * u64::from(config.fetch_cycles_per_prim));
+            durations.raster.push(
+                u64::from(tp.raster_quads).div_ceil(u64::from(config.raster_quads_per_cycle)),
+            );
             let mut rec = TileRecord {
-                tile: (tx, ty),
+                tile,
                 ..TileRecord::default()
             };
             let mut per_slot = [0u32; 4];
-            for &pos in &prefix.rast_pos[span(tp.rast)] {
+            for &pos in &*tp.rast_pos {
                 per_slot[slots.slot_of_pos(pos)] += 1;
             }
             for (&sc, n) in assign.iter().zip(per_slot) {
@@ -322,9 +331,8 @@ impl FrameSim {
             for b in &mut buckets {
                 b.clear();
             }
-            for qi in tp.surv.0..tp.surv.1 {
-                let slot = slots.slot_of_pos(prefix.quads[qi as usize].pos);
-                buckets[usize::from(assign[slot])].push(qi);
+            for (qi, q) in tp.quads.iter().enumerate() {
+                buckets[usize::from(assign[slots.slot_of_pos(q.pos)])].push(qi as u32);
             }
             let mut sc = [(0u32, 0u32); 4];
             for (r, b) in sc.iter_mut().zip(&buckets) {
@@ -332,12 +340,7 @@ impl FrameSim {
                 sc_idx.extend_from_slice(b);
                 *r = (start, sc_idx.len() as u32);
             }
-            legs.push(LegTile {
-                rec,
-                sc,
-                fetch: tp.fetch,
-                raster: tp.raster_cycles,
-            });
+            legs.push(LegTile { rec, sc });
         }
 
         // Fragment stage: run each SC's subtile on the warp model,
@@ -347,12 +350,10 @@ impl FrameSim {
         let core = ShaderCore::new(config.warp_slots, config.l1_miss_fill_cycles);
 
         let mut tiles = Vec::with_capacity(legs.len());
-        let mut durations = StageDurations::default();
         let mut shader_total = ShaderCoreStats::default();
         let mut merged: Vec<u32> = Vec::new();
-        for (ti, leg) in legs.iter().enumerate() {
-            durations.fetch.push(leg.fetch);
-            durations.raster.push(leg.raster);
+        for ((ti, tile, _), leg) in tsched.iter().zip(&legs) {
+            let tp = tile_at(tile);
             let mut rec = leg.rec;
             let mut ez = [0u64; 4];
             let mut frag = [0u64; 4];
@@ -364,8 +365,9 @@ impl FrameSim {
                 for r in leg.sc {
                     merged.extend_from_slice(&sc_idx[span(r)]);
                 }
+                let quads = prefix.prepared(tp, &merged);
                 let (cycles, stats) =
-                    run_subtile_cached(prefix, &core, 0, ti, &merged, &mut hierarchy, probe);
+                    run_subtile_cached(&core, 0, ti, quads, &mut hierarchy, probe);
                 rec.quads_shaded[0] = merged.len() as u32;
                 rec.frag_cycles[0] = cycles;
                 shader_total += stats;
@@ -375,8 +377,9 @@ impl FrameSim {
             } else {
                 for (sc, &r) in leg.sc.iter().enumerate().take(config.num_sc) {
                     let indices = &sc_idx[span(r)];
+                    let quads = prefix.prepared(tp, indices);
                     let (cycles, stats) =
-                        run_subtile_cached(prefix, &core, sc, ti, indices, &mut hierarchy, probe);
+                        run_subtile_cached(&core, sc, ti, quads, &mut hierarchy, probe);
                     rec.quads_shaded[sc] = indices.len() as u32;
                     rec.frag_cycles[sc] = cycles;
                     shader_total += stats;
@@ -434,21 +437,20 @@ fn span(r: (u32, u32)) -> std::ops::Range<usize> {
     r.0 as usize..r.1 as usize
 }
 
-/// Run one subtile over prefix indices. When probing, the walk is
+/// Run one subtile over its prepared quads. When probing, the walk is
 /// bracketed with [`TextureHierarchy::shared_counters`] snapshots so its
 /// L2/DRAM traffic (prefetches included) is attributed to this
 /// (tile, SC) subtile; the L1 counts are the walk's demand accesses.
-fn run_subtile_cached<P: Probe>(
-    prefix: &FramePrefix,
+fn run_subtile_cached<'a, P: Probe>(
     core: &ShaderCore,
     sc: usize,
     tile: usize,
-    indices: &[u32],
+    quads: impl IntoIterator<Item = PreparedQuad<'a>>,
     hierarchy: &mut TextureHierarchy,
     probe: &mut P,
 ) -> (u64, ShaderCoreStats) {
     let before = probe.enabled().then(|| hierarchy.shared_counters());
-    let (cycles, stats, l1_misses) = core.run_prepared(sc, prefix.prepared(indices), hierarchy);
+    let (cycles, stats, l1_misses) = core.run_prepared(sc, quads, hierarchy);
     if let Some(before) = before {
         let delta = hierarchy.shared_counters().since(&before);
         probe.record(Event::Mem(MemSample {
@@ -465,21 +467,14 @@ fn run_subtile_cached<P: Probe>(
     (cycles, stats)
 }
 
-/// Per-tile output of the leg's partition pass: everything the
-/// fragment stage needs. The survivor
-/// quads themselves live in the (schedule-independent) prefix arenas;
-/// this only holds index ranges into the leg's flat `sc_idx` arena.
+/// Per-tile output of the leg's partition pass: the tile record with
+/// `quads_rasterized` filled in, and per SC a `(start, end)` range of
+/// the leg's survivor-index arena (tile-local indices, submission
+/// order).
 #[derive(Debug, Clone, Copy)]
 struct LegTile {
-    /// The tile record with `quads_rasterized` filled in.
     rec: TileRecord,
-    /// Per-SC `(start, end)` ranges into the leg's survivor-index
-    /// arena, each in submission order.
     sc: [(u32, u32); 4],
-    /// Tile-fetcher cycles.
-    fetch: u64,
-    /// Rasterizer cycles.
-    raster: u64,
 }
 
 #[cfg(test)]
@@ -567,8 +562,11 @@ mod tests {
             };
             assert!(!build.hierarchy.prefetch_next_line);
             let prefix = FramePrefix::build(&scene, &build, 100, 50).unwrap();
-            let footprint: std::collections::BTreeSet<LineAddr> =
-                prefix.lines.iter().map(|&l| LineAddr::from(l)).collect();
+            let footprint: std::collections::BTreeSet<LineAddr> = prefix
+                .tiles
+                .iter()
+                .flat_map(|t| t.lines.iter().map(|&l| LineAddr::from(l)))
+                .collect();
             assert!(footprint.len() > 100, "frame must touch texture");
             for schedule in [ScheduleConfig::baseline(), ScheduleConfig::dtexl()] {
                 let r = FrameSim::try_run_prefixed(&prefix, &schedule, &build).unwrap();

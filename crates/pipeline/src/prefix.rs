@@ -5,7 +5,7 @@
 //! on the schedule at all. [`FramePrefix::build`] captures exactly that
 //! schedule-independent prefix — geometry, tile binning, per-tile
 //! rasterization, early-Z and the per-quad texture footprints — in
-//! flat, index-addressed arenas, so [`crate::FrameSim`] can re-run only
+//! per-tile arenas, so [`crate::FrameSim`] can re-run only
 //! the schedule-*dependent* remainder (quad→SC partitioning, the L1
 //! lane walks, the shared-L2 replay and the warp timing) per leg.
 //!
@@ -30,10 +30,10 @@
 //! with a typed [`SimError`] whatever would not fit: tiles over 512 px
 //! (`PipelineConfig::validate`), texture lines at or past 2^32, Morton
 //! textures over 65,536 texels a side, and more than 65,536 distinct
-//! shader profiles. The arenas grow by doubling and are shrunk once at
-//! the end; that overshoot sets the build's peak about as high as the
-//! retained prefix plus a leg does, so exact-size arenas would not
-//! lower a sweep job's peak.
+//! shader profiles. Each tile owns its three arenas at their exact
+//! length: `build` fills per-tile scratch buffers it reuses across
+//! tiles and copies each tile out, so its peak is the retained prefix
+//! plus one tile's scratch.
 
 use crate::config::PipelineConfig;
 use crate::error::SimError;
@@ -53,12 +53,13 @@ use std::collections::BTreeMap;
 /// A post-early-Z survivor quad, reduced to what the fragment stage
 /// reads: its tile-local position (for the schedule's quad→SC
 /// partition), its shader profile and the end of its footprint in the
-/// line arena. Its footprint starts where the previous survivor's
-/// ends, so a survivor takes 8 bytes.
+/// line arena. Its footprint starts where the tile's previous
+/// survivor's ends, so a survivor takes 8 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PrepQuad {
-    /// End of this quad's range in [`FramePrefix::lines`]; the range
-    /// starts at the previous survivor's `line_end` (0 for the first).
+    /// End of this quad's range in its tile's [`TilePrefix::lines`];
+    /// the range starts at the previous survivor's `line_end` (0 for
+    /// the tile's first).
     pub(crate) line_end: u32,
     /// Tile-local quad position, [`pack_pos`]ed.
     pub(crate) pos: u16,
@@ -174,24 +175,25 @@ pub(crate) fn resolve_footprints(
     });
 }
 
-/// Per-tile slice of the prefix arenas. Tile coordinates are implicit:
-/// [`FramePrefix::tiles`] is row-major.
-#[derive(Debug, Clone, Copy)]
+/// One tile of the prefix: the counts its durations follow from and
+/// its arenas, each at its exact length. Tile coordinates are
+/// implicit: [`FramePrefix::tiles`] is row-major.
+#[derive(Debug, Clone)]
 pub(crate) struct TilePrefix {
     /// Binned primitive-list length (the raster probe's `prims`).
     pub(crate) prims: u32,
     /// Rasterizer-emitted quad count (the raster probe's `quads`).
     pub(crate) raster_quads: u32,
-    /// Range of this tile's rasterized quads in
-    /// [`FramePrefix::rast_pos`], submission order.
-    pub(crate) rast: (u32, u32),
-    /// Range of this tile's early-Z survivors in
-    /// [`FramePrefix::quads`], submission order.
-    pub(crate) surv: (u32, u32),
-    /// Tile-fetcher cycles.
-    pub(crate) fetch: u64,
-    /// Rasterizer cycles.
-    pub(crate) raster_cycles: u64,
+    /// Tile-local [`pack_pos`]ed position of every rasterized quad
+    /// (pre early-Z), submission order — the schedule partitions these
+    /// to count `quads_rasterized` per SC.
+    pub(crate) rast_pos: Box<[u16]>,
+    /// Early-Z survivors, submission order.
+    pub(crate) quads: Box<[PrepQuad]>,
+    /// Texture-footprint lines of the survivors ([`Sampler::footprints`]
+    /// output, back to back), narrowed to `u32` by
+    /// [`resolve_footprints`].
+    pub(crate) lines: Box<[u32]>,
 }
 
 /// The schedule-independent prefix of one frame simulation, computed
@@ -217,27 +219,18 @@ pub struct FramePrefix {
     pub(crate) tiles_w: u32,
     /// Frame height in tiles.
     pub(crate) tiles_h: u32,
-    /// Per-tile arena slices, row-major (`ty * tiles_w + tx`).
+    /// Per-tile arenas, row-major (`ty * tiles_w + tx`).
     pub(crate) tiles: Vec<TilePrefix>,
-    /// Tile-local [`pack_pos`]ed position of every rasterized quad
-    /// (pre early-Z) — the schedule partitions these to count
-    /// `quads_rasterized` per SC.
-    pub(crate) rast_pos: Vec<u16>,
-    /// Early-Z survivor arena.
-    pub(crate) quads: Vec<PrepQuad>,
     /// The distinct `(alu_ops, tex_samples)` shader profiles of the
     /// survivors, in first-use order; a quad's issue slots are their
     /// sum ([`ShaderProfile::issue_slots`]).
     pub(crate) profiles: Vec<(u32, u32)>,
-    /// Flat texture-footprint arena ([`Sampler::footprints`] output,
-    /// back to back), narrowed to `u32` by [`resolve_footprints`].
-    pub(crate) lines: Vec<u32>,
 }
 
 impl FramePrefix {
     /// Run the schedule-independent half of the functional pass:
     /// geometry, binning, then per tile (row-major) rasterization,
-    /// early-Z and footprint resolution into flat arenas.
+    /// early-Z and footprint resolution into the tile's arenas.
     ///
     /// # Errors
     ///
@@ -287,27 +280,18 @@ impl FramePrefix {
         let screen = Rect::new(0, 0, width as i32, height as i32);
 
         let mut tiles = Vec::with_capacity((bins.tiles_w() * bins.tiles_h()) as usize);
-        // Seed the arenas at one screen's worth of quads (~quarter of a
-        // busy frame's total, which runs several × the screen-quad
-        // count from overdraw). Growth doubling reaches any final size
-        // within a handful of reallocations, while sparse frames — most
-        // of the sweep grid — don't pay a worst-case reservation in
-        // peak allocation (the per-job high-water mark is a CI gate).
-        let screen_quads = (width.div_ceil(2) as usize) * (height.div_ceil(2) as usize);
-        let mut rast_pos: Vec<u16> = Vec::with_capacity(screen_quads / 2);
-        let mut quads: Vec<PrepQuad> = Vec::with_capacity(screen_quads / 2);
-        let mut lines: Vec<u32> = Vec::with_capacity(screen_quads);
         let mut profiles: Vec<(u32, u32)> = Vec::new();
         let mut profile_ids = BTreeMap::new();
+        // Per-tile scratch, reused across tiles; each tile keeps an
+        // exact-size copy.
         let mut tile_quads: Vec<Quad> = Vec::new();
+        let mut quads: Vec<PrepQuad> = Vec::new();
+        let mut lines: Vec<u32> = Vec::new();
         for ty in 0..bins.tiles_h() {
             for tx in 0..bins.tiles_w() {
                 let list = bins.list(tx, ty);
                 let tile_px = (tx * config.tile_size) as i32;
                 let tile_py = (ty * config.tile_size) as i32;
-
-                // Tile fetcher cost.
-                let fetch = 4 + list.len() as u64 * u64::from(config.fetch_cycles_per_prim);
 
                 // Rasterize the tile's primitives in program order.
                 tile_quads.clear();
@@ -319,8 +303,7 @@ impl FramePrefix {
                     screen,
                     &mut tile_quads,
                 );
-                let raster_cycles =
-                    (tile_quads.len() as u64).div_ceil(u64::from(config.raster_quads_per_cycle));
+                let rast_pos = tile_quads.iter().map(|q| pack_pos(q.qx, q.qy)).collect();
 
                 // Early-Z in submission order, keeping only the tile's
                 // survivors (`retain` visits each quad once, in order).
@@ -328,16 +311,14 @@ impl FramePrefix {
                 // may change depth, so early culling is illegal — §II-A)
                 // and only resolved afterwards.
                 zbuf.clear();
-                let rast_start = rast_pos.len() as u32;
-                let surv_start = quads.len() as u32;
                 tile_quads.retain(|q| {
-                    rast_pos.push(pack_pos(q.qx, q.qy));
                     let surviving = zbuf.test_and_update(q);
                     (if q.late_z { q.mask } else { surviving }) != 0
                 });
 
                 // The survivors, still in submission order, then their
                 // footprints as one batch.
+                quads.clear();
                 for q in &tile_quads {
                     quads.push(PrepQuad {
                         line_end: 0,
@@ -345,7 +326,8 @@ impl FramePrefix {
                         profile: profile_index(&mut profiles, &mut profile_ids, &q.shader)?,
                     });
                 }
-                let mut next = surv_start as usize;
+                lines.clear();
+                let mut next = 0;
                 resolve_footprints(&tile_quads, &textures, &mut lines, |end| {
                     quads[next].line_end = end as u32;
                     next += 1;
@@ -353,19 +335,12 @@ impl FramePrefix {
                 tiles.push(TilePrefix {
                     prims: list.len() as u32,
                     raster_quads: rstats.quads,
-                    rast: (rast_start, rast_pos.len() as u32),
-                    surv: (surv_start, quads.len() as u32),
-                    fetch,
-                    raster_cycles,
+                    rast_pos,
+                    quads: quads.as_slice().into(),
+                    lines: lines.as_slice().into(),
                 });
             }
         }
-
-        // The arenas grew by doubling; a cached prefix is long-lived,
-        // so trade one realloc for a tight budget-accounting footprint.
-        rast_pos.shrink_to_fit();
-        quads.shrink_to_fit();
-        lines.shrink_to_fit();
 
         let (tiles_w, tiles_h) = (bins.tiles_w(), bins.tiles_h());
         Ok(Self {
@@ -378,10 +353,7 @@ impl FramePrefix {
             tiles_w,
             tiles_h,
             tiles,
-            rast_pos,
-            quads,
             profiles,
-            lines,
         })
     }
 
@@ -389,13 +361,20 @@ impl FramePrefix {
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         use std::mem::size_of;
+        let arenas: usize = self
+            .tiles
+            .iter()
+            .map(|t| {
+                t.rast_pos.len() * size_of::<u16>()
+                    + t.quads.len() * size_of::<PrepQuad>()
+                    + t.lines.len() * size_of::<u32>()
+            })
+            .sum();
         (size_of::<Self>()
             + self.textures.capacity() * size_of::<TextureDesc>()
             + self.tiles.capacity() * size_of::<TilePrefix>()
-            + self.rast_pos.capacity() * size_of::<u16>()
-            + self.quads.capacity() * size_of::<PrepQuad>()
             + self.profiles.capacity() * size_of::<(u32, u32)>()
-            + self.lines.capacity() * size_of::<u32>()) as u64
+            + arenas) as u64
     }
 
     /// Screen width in pixels the prefix was built for.
@@ -410,21 +389,22 @@ impl FramePrefix {
         self.height
     }
 
-    /// Iterate `indices` (into the survivor arena) as
-    /// [`PreparedQuad`]s for [`crate::ShaderCore::run_prepared`].
+    /// Iterate `indices` (into `tile`'s survivors) as [`PreparedQuad`]s
+    /// for [`crate::ShaderCore::run_prepared`].
     pub(crate) fn prepared<'a>(
         &'a self,
+        tile: &'a TilePrefix,
         indices: &'a [u32],
     ) -> impl Iterator<Item = PreparedQuad<'a>> + 'a {
         indices.iter().map(move |&qi| {
             let qi = qi as usize;
-            let start = qi.checked_sub(1).map_or(0, |p| self.quads[p].line_end);
-            let q = &self.quads[qi];
+            let start = qi.checked_sub(1).map_or(0, |p| tile.quads[p].line_end);
+            let q = &tile.quads[qi];
             let (alu_ops, tex_samples) = self.profiles[usize::from(q.profile)];
             PreparedQuad {
                 alu_ops,
                 tex_samples,
-                lines: &self.lines[start as usize..q.line_end as usize],
+                lines: &tile.lines[start as usize..q.line_end as usize],
             }
         })
     }
@@ -495,34 +475,52 @@ mod tests {
         })
     }
 
-    /// FNV-1a over every arena of the prefix: the per-tile slices,
-    /// `rast_pos`, the survivors, the profile table and the lines.
-    fn arena_digest(p: &FramePrefix) -> u64 {
+    /// FNV-1a over every arena of the prefix, in the frame-wide layout
+    /// the goldens were taken in: per tile its counts, its running
+    /// ranges into frame-wide `rast_pos` and survivor arenas and its
+    /// fetch and raster cycles under `config`; then every position,
+    /// every survivor with its line end offset to a frame-wide line
+    /// arena, the profile table and the lines.
+    fn arena_digest(p: &FramePrefix, config: &PipelineConfig) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325;
+        let (mut rast, mut surv) = (0u64, 0u64);
         h = fnv1a(
             h,
             p.tiles.iter().flat_map(|t| {
+                let (r0, s0) = (rast, surv);
+                rast += t.rast_pos.len() as u64;
+                surv += t.quads.len() as u64;
                 [
                     u64::from(t.prims),
                     u64::from(t.raster_quads),
-                    u64::from(t.rast.0),
-                    u64::from(t.rast.1),
-                    u64::from(t.surv.0),
-                    u64::from(t.surv.1),
-                    t.fetch,
-                    t.raster_cycles,
+                    r0,
+                    rast,
+                    s0,
+                    surv,
+                    4 + u64::from(t.prims) * u64::from(config.fetch_cycles_per_prim),
+                    u64::from(t.raster_quads).div_ceil(u64::from(config.raster_quads_per_cycle)),
                 ]
             }),
         );
-        h = fnv1a(h, p.rast_pos.iter().map(|&pos| u64::from(pos)));
         h = fnv1a(
             h,
-            p.quads.iter().flat_map(|q| {
-                [
-                    u64::from(q.line_end),
-                    u64::from(q.pos),
-                    u64::from(q.profile),
-                ]
+            p.tiles
+                .iter()
+                .flat_map(|t| t.rast_pos.iter().map(|&pos| u64::from(pos))),
+        );
+        let mut line_base = 0u64;
+        h = fnv1a(
+            h,
+            p.tiles.iter().flat_map(|t| {
+                let base = line_base;
+                line_base += t.lines.len() as u64;
+                t.quads.iter().flat_map(move |q| {
+                    [
+                        base + u64::from(q.line_end),
+                        u64::from(q.pos),
+                        u64::from(q.profile),
+                    ]
+                })
             }),
         );
         h = fnv1a(
@@ -531,7 +529,12 @@ mod tests {
                 .iter()
                 .flat_map(|&(alu, tex)| [u64::from(alu), u64::from(tex)]),
         );
-        fnv1a(h, p.lines.iter().map(|&l| u64::from(l)))
+        fnv1a(
+            h,
+            p.tiles
+                .iter()
+                .flat_map(|t| t.lines.iter().map(|&l| u64::from(l))),
+        )
     }
 
     /// `(game, width, height, frame, digest)` of a prefix under the
@@ -580,7 +583,7 @@ mod tests {
             .map(|(game, w, h, frame)| {
                 let scene = game.scene(&SceneSpec::new(w, h, frame));
                 let prefix = FramePrefix::build(&scene, &config, w, h).unwrap();
-                (game.alias(), w, h, frame, arena_digest(&prefix))
+                (game.alias(), w, h, frame, arena_digest(&prefix, &config))
             })
             .collect();
         assert_eq!(got, ARENA_GOLDEN);
@@ -628,17 +631,21 @@ mod tests {
         let scene = stacked_scene(8.0, 3);
         let prefix = FramePrefix::build(&scene, &PipelineConfig::default(), 8, 8).unwrap();
         assert_eq!(prefix.profiles.len(), 3);
-        // 16 quads per draw; each survivor's footprint starts where the
-        // previous one's ends.
-        assert_eq!(prefix.quads.len(), 3 * 16);
+        // One tile of 16 quads per draw; each survivor's footprint
+        // starts where the previous one's ends.
+        let [tile] = &prefix.tiles[..] else {
+            panic!("8×8 is one tile");
+        };
+        assert_eq!(tile.quads.len(), 3 * 16);
+        let all: Vec<u32> = (0..48).collect();
         let mut start = 0;
-        for (quad, shaded) in prefix.quads.iter().zip(prefix.prepared(&[0, 1, 2])) {
+        for (quad, shaded) in tile.quads.iter().zip(prefix.prepared(tile, &all)) {
             assert_eq!(shaded.lines.len() as u32, quad.line_end - start);
             start = quad.line_end;
         }
-        let last = prefix.prepared(&[47]).next().unwrap();
+        let last = prefix.prepared(tile, &[47]).next().unwrap();
         assert_eq!((last.alu_ops, last.tex_samples), prefix.profiles[2]);
-        assert_eq!(prefix.quads[47].line_end as usize, prefix.lines.len());
+        assert_eq!(tile.quads[47].line_end as usize, tile.lines.len());
     }
 
     #[test]
