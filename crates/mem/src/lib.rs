@@ -14,7 +14,8 @@
 //!   pseudo-random replacement ([`ReplacementKind`]) and per-cache
 //!   [`CacheStats`];
 //! * [`TextureHierarchy`] — the private-L1s → shared-L2 → DRAM stack the
-//!   shader cores see, which is what DTexL's scheduling manipulates;
+//!   shader cores see, which is what DTexL's scheduling manipulates, and
+//!   its per-core [`LaneHandle`] for a run of accesses;
 //! * [`DramModel`] — deterministic 50–100-cycle latency model standing in
 //!   for DRAMSim2;
 //! * [`energy`] — an event-energy model standing in for McPAT.
@@ -47,6 +48,7 @@ mod stats;
 pub use cache::{AccessOutcome, CacheConfig, SetAssocCache};
 pub use dram::{DramConfig, DramModel};
 pub use hierarchy::{AccessResult, ReplacementKind, TextureHierarchy, TextureHierarchyConfig};
+pub use lane::LaneHandle;
 pub use stats::{CacheStats, HierarchyStats, MemCounters};
 
 /// Event-energy model (per-access energies plus leakage) standing in for
