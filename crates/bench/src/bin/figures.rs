@@ -25,7 +25,6 @@ use dtexl::experiments::{Lab, Setup};
 use dtexl::report;
 use dtexl::sweep::SweepOptions;
 use dtexl::{Table, CLOCK_HZ};
-use dtexl_bench::{bench_setup, paper_setup};
 use dtexl_pipeline::{BarrierMode, FrameSim, PipelineConfig};
 use dtexl_scene::{Game, SceneSpec};
 use dtexl_sched::{ScheduleConfig, TileOrder};
@@ -73,7 +72,11 @@ fn main() {
     let all = ids.is_empty();
     let want = |id: &str| all || ids.contains(&id);
 
-    let mut setup = if quick { bench_setup() } else { paper_setup() };
+    let mut setup = if quick {
+        quick_setup()
+    } else {
+        Setup::table2()
+    };
     setup.frame = frame;
     eprintln!(
         "# DTexL figure regeneration — {}x{}, {} games, {} threads, {} frame(s) from {}",
@@ -408,6 +411,16 @@ fn ablations(quick: bool) {
     println!("{}", t.render());
 }
 
+/// The `--quick` setup: 512x256 and three games spanning 2D/3D and
+/// small/large texture footprints.
+fn quick_setup() -> Setup {
+    Setup {
+        width: 512,
+        height: 256,
+        ..Setup::quick()
+    }
+}
+
 fn s_len(scene: &dtexl_scene::Scene) -> u32 {
     scene.draws.len().max(1) as u32
 }
@@ -422,4 +435,19 @@ fn try_speedup_scene(
     let dt = FrameSim::try_run(scene, &ScheduleConfig::dtexl(), cfg, w, h)?;
     Ok(base.total_cycles(BarrierMode::Coupled) as f64
         / dt.total_cycles(BarrierMode::Decoupled) as f64)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn setups_are_consistent() {
+        let q = quick_setup();
+        assert_eq!(q.games.len(), 3);
+        assert!(q.width * q.height < 1960 * 768 / 4);
+        let p = Setup::table2();
+        assert_eq!((p.width, p.height), (1960, 768));
+        assert_eq!(p.games.len(), 10);
+    }
 }

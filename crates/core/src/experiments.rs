@@ -499,38 +499,6 @@ impl Lab {
         t
     }
 
-    /// Run every figure and table, sharing cached simulations.
-    #[must_use]
-    pub fn all_figures(&self) -> Vec<Table> {
-        // Prefetch the full union of configurations in one parallel
-        // sweep so individual figures only read the cache.
-        let mut jobs = Vec::new();
-        let mut schedules = vec![Self::baseline_sched(), ScheduleConfig::dtexl()];
-        schedules.extend(QuadGrouping::ALL.iter().map(|&g| Self::grouping_sched(g)));
-        schedules.extend(NamedMapping::FIG16.iter().map(|m| m.config()));
-        for &game in &self.setup.games {
-            for s in &schedules {
-                jobs.push((game, *s, false));
-            }
-            jobs.push((game, Self::baseline_sched(), true));
-        }
-        self.ensure(&jobs);
-        vec![
-            self.table1(),
-            self.replication_table(),
-            self.fig1(),
-            self.fig2(),
-            self.fig11(),
-            self.fig12(),
-            self.fig13(),
-            self.fig14(),
-            self.fig15(),
-            self.fig16(),
-            self.fig17(),
-            self.fig18(),
-        ]
-    }
-
     /// Beyond-paper diagnostic: measured texture-block fill redundancy
     /// (L1 fills per distinct line — spatial replication across the
     /// four private caches *times* temporal refetching across tiles)

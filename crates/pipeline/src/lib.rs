@@ -58,7 +58,8 @@ mod prim;
 mod raster;
 mod render;
 mod shade;
-pub mod shade_detailed;
+#[cfg(test)]
+mod shade_detailed;
 mod tiling;
 mod timing;
 mod zbuffer;

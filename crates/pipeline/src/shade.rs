@@ -7,10 +7,7 @@
 //! The frame's fragment stage walks its subtiles tile-major,
 //! SC-ascending, so the shared levels see one fixed request order.
 
-use crate::prefix::{check_texture_table, resolve_footprints};
-use crate::prim::Quad;
 use dtexl_mem::{LaneHandle, LineAddr, TextureHierarchy};
-use dtexl_texture::TextureDesc;
 
 /// Per-run statistics of a shader core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -194,44 +191,6 @@ impl ShaderCore {
         }
     }
 
-    /// Execute one subtile's quads on core `sc`, accessing textures
-    /// through `hierarchy`. `textures[id]` must be the descriptor for
-    /// texture `id`. Resolves each quad's footprint, then runs the same
-    /// walk as the frame simulator's fragment stage.
-    ///
-    /// Returns `(cycles, stats)` for the batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a quad references a texture not present in `textures`,
-    /// or if a texture's lines do not fit 32 bits or a Morton texture
-    /// exceeds 65,536 texels a side (the frame prefix rejects such a
-    /// table with [`crate::SimError::Scene`]).
-    pub fn run_subtile(
-        &self,
-        sc: usize,
-        quads: &[Quad],
-        textures: &[TextureDesc],
-        hierarchy: &mut TextureHierarchy,
-    ) -> (u64, ShaderCoreStats) {
-        let fits = check_texture_table(textures);
-        assert!(fits.is_ok(), "{fits:?}");
-        let mut lines: Vec<u32> = Vec::new();
-        let mut ends = Vec::with_capacity(quads.len());
-        resolve_footprints(quads, textures, &mut lines, |end| ends.push(end));
-        let prepared = quads.iter().zip(&ends).scan(0, |start, (quad, &end)| {
-            let lines = &lines[*start..end];
-            *start = end;
-            Some(PreparedQuad {
-                alu_ops: quad.shader.alu_ops,
-                tex_samples: quad.shader.tex_samples,
-                lines,
-            })
-        });
-        let (cycles, stats, _) = self.run_prepared(sc, prepared, hierarchy);
-        (cycles, stats)
-    }
-
     /// Execute one subtile of pre-resolved quads on core `sc`: every
     /// line goes through one [`LaneHandle`] of `hierarchy`, opened for
     /// the subtile, and its latency is charged to the warp model inline.
@@ -302,11 +261,57 @@ impl ShaderCore {
 }
 
 #[cfg(test)]
+impl ShaderCore {
+    /// Execute one subtile's quads on core `sc`, accessing textures
+    /// through `hierarchy`. `textures[id]` must be the descriptor for
+    /// texture `id`. Resolves each quad's footprint, then runs the same
+    /// walk as the frame simulator's fragment stage, which resolves
+    /// footprints in the prefix and calls [`Self::run_prepared`].
+    ///
+    /// Returns `(cycles, stats)` for the batch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a quad references a texture not present in `textures`,
+    /// or if a texture's lines do not fit 32 bits or a Morton texture
+    /// exceeds 65,536 texels a side (the frame prefix rejects such a
+    /// table with [`crate::SimError::Scene`]).
+    pub(crate) fn run_subtile(
+        &self,
+        sc: usize,
+        quads: &[crate::prim::Quad],
+        textures: &[dtexl_texture::TextureDesc],
+        hierarchy: &mut TextureHierarchy,
+    ) -> (u64, ShaderCoreStats) {
+        use crate::prefix::{check_texture_table, resolve_footprints};
+
+        let fits = check_texture_table(textures);
+        assert!(fits.is_ok(), "{fits:?}");
+        let mut lines: Vec<u32> = Vec::new();
+        let mut ends = Vec::with_capacity(quads.len());
+        resolve_footprints(quads, textures, &mut lines, |end| ends.push(end));
+        let prepared = quads.iter().zip(&ends).scan(0, |start, (quad, &end)| {
+            let lines = &lines[*start..end];
+            *start = end;
+            Some(PreparedQuad {
+                alu_ops: quad.shader.alu_ops,
+                tex_samples: quad.shader.tex_samples,
+                lines,
+            })
+        });
+        let (cycles, stats, _) = self.run_prepared(sc, prepared, hierarchy);
+        (cycles, stats)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::prim::Quad;
     use dtexl_gmath::Vec2;
     use dtexl_mem::TextureHierarchyConfig;
     use dtexl_scene::ShaderProfile;
+    use dtexl_texture::TextureDesc;
 
     fn textures() -> Vec<TextureDesc> {
         vec![TextureDesc::new(0, 256, 256, 0x1000_0000)]

@@ -6,10 +6,11 @@
 //! port, one L1 fill port — as an explicit cycle-by-cycle simulation
 //! with round-robin warp scheduling and per-instruction interleaving.
 //!
-//! It is **validation infrastructure**: the test suite drives both
-//! models with identical per-quad costs and asserts they agree within
-//! a tight envelope and order workloads identically. It is not used in
-//! the figure pipeline (it is ~an order of magnitude slower).
+//! It is **validation infrastructure**, compiled only into the crate's
+//! tests: they drive both models with identical per-quad costs and
+//! assert they agree within a tight envelope and order workloads
+//! identically. It is not used in the figure pipeline (it is ~an order
+//! of magnitude slower).
 
 use crate::prim::Quad;
 use dtexl_mem::TextureHierarchy;
@@ -18,16 +19,16 @@ use dtexl_texture::{Sampler, TextureDesc};
 /// Per-sample cost of a quad: the blocking latency and the number of
 /// L1 fills it triggers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SampleCost {
+pub(crate) struct SampleCost {
     /// Cycles the issuing warp waits for this sample.
-    pub stall: u32,
+    pub(crate) stall: u32,
     /// L1 misses the sample's footprint produced.
-    pub misses: u32,
+    pub(crate) misses: u32,
 }
 
 /// Precompute per-quad sample costs by walking the hierarchy in stream
 /// order — the shared input for both shader-core models.
-pub fn sample_costs(
+pub(crate) fn sample_costs(
     sc: usize,
     quads: &[Quad],
     textures: &[TextureDesc],
@@ -62,7 +63,7 @@ pub fn sample_costs(
 
 /// The cycle-stepped reference core.
 #[derive(Debug, Clone, Copy)]
-pub struct DetailedShaderCore {
+pub(crate) struct DetailedShaderCore {
     warp_slots: usize,
     miss_fill_cycles: u32,
 }
@@ -84,7 +85,7 @@ impl DetailedShaderCore {
     ///
     /// Panics if `warp_slots` is zero.
     #[must_use]
-    pub fn new(warp_slots: usize, miss_fill_cycles: u32) -> Self {
+    pub(crate) fn new(warp_slots: usize, miss_fill_cycles: u32) -> Self {
         assert!(warp_slots > 0);
         Self {
             warp_slots,
@@ -99,7 +100,7 @@ impl DetailedShaderCore {
     ///
     /// Panics if `costs.len() != quads.len()`.
     #[must_use]
-    pub fn run_subtile(&self, quads: &[Quad], costs: &[Vec<SampleCost>]) -> u64 {
+    pub(crate) fn run_subtile(&self, quads: &[Quad], costs: &[Vec<SampleCost>]) -> u64 {
         assert_eq!(quads.len(), costs.len());
         if quads.is_empty() {
             return 0;

@@ -24,7 +24,6 @@
 //! ([`surface`]). Tier 1 stays line-local and fast; tier 2 catches
 //! what only whole-program reachability can see.
 
-pub mod bench;
 pub mod budgets;
 pub mod deep;
 pub mod graph;

@@ -4,10 +4,9 @@
 //! cargo xtask lint [--format text|json] [--root <dir>] [--update-budgets]
 //! cargo xtask deep-lint [--format text|json] [--root <dir>] [--why <symbol>]
 //!                       [--update-surface] [--update-budgets]
-//! cargo xtask bench-compare <current.json> <baseline.json>
 //! ```
 //!
-//! Exit codes: 0 clean, 1 violations / perf regression, 2 usage/IO
+//! Exit codes: 0 clean, 1 violations, 2 usage/IO
 //! error. `--update-budgets` ratchets the respective table of
 //! `lint-budgets.toml` down to the current per-crate counts before
 //! checking; `--update-surface` accepts API drift into
@@ -20,8 +19,7 @@ use std::process::ExitCode;
 const USAGE: &str =
     "usage: cargo xtask lint [--format text|json] [--root <dir>] [--update-budgets]\n\
                      \u{20}      cargo xtask deep-lint [--format text|json] [--root <dir>] \
-     [--why <symbol>] [--update-surface] [--update-budgets]\n\
-                     \u{20}      cargo xtask bench-compare <current.json> <baseline.json>";
+     [--why <symbol>] [--update-surface] [--update-budgets]";
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -32,7 +30,6 @@ fn main() -> ExitCode {
     match cmd.as_str() {
         "lint" => cmd_lint(args),
         "deep-lint" => cmd_deep_lint(args),
-        "bench-compare" => cmd_bench_compare(args),
         other => {
             eprintln!("unknown command `{other}`\n{USAGE}");
             ExitCode::from(2)
@@ -148,34 +145,5 @@ fn cmd_deep_lint(mut args: impl Iterator<Item = String>) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::from(1)
-    }
-}
-
-fn cmd_bench_compare(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let (Some(current_path), Some(baseline_path), None) = (args.next(), args.next(), args.next())
-    else {
-        eprintln!("bench-compare takes exactly two report paths\n{USAGE}");
-        return ExitCode::from(2);
-    };
-    let read = |path: &str| {
-        std::fs::read_to_string(path)
-            .map_err(|e| format!("{path}: {e}"))
-            .and_then(|text| xtask::bench::parse_report(&text).map_err(|e| format!("{path}: {e}")))
-    };
-    let (current, baseline) = match (read(&current_path), read(&baseline_path)) {
-        (Ok(c), Ok(b)) => (c, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let comparison = xtask::bench::compare(&current, &baseline);
-    for line in &comparison.lines {
-        println!("{line}");
-    }
-    if comparison.fail {
-        ExitCode::from(1)
-    } else {
-        ExitCode::SUCCESS
     }
 }

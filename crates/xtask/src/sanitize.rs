@@ -305,13 +305,16 @@ fn char_literal_end(chars: &[char], i: usize) -> Option<usize> {
 }
 
 /// Mark every line inside a `#[cfg(test)]` block (attribute line
-/// included) as test code by tracking brace depth.
+/// included) as test code by tracking brace depth. A brace-less item
+/// (`#[cfg(test)] mod tests;`) ends at its `;`.
 fn mark_test_lines(code_lines: &[String]) -> Vec<bool> {
     let mut flags = vec![false; code_lines.len()];
     let mut depth: i64 = 0;
     // While inside a test block: Some(depth the block closes at).
     let mut close_at: Option<i64> = None;
     let mut pending = false;
+    // `(`/`[` nesting of the pending item, so `[u8; 4]` is no item end.
+    let mut nest: i64 = 0;
     for (idx, line) in code_lines.iter().enumerate() {
         if close_at.is_none() && line.contains("#[cfg(test)]") {
             pending = true;
@@ -321,6 +324,9 @@ fn mark_test_lines(code_lines: &[String]) -> Vec<bool> {
         }
         for c in line.chars() {
             match c {
+                '(' | '[' => nest += 1,
+                ')' | ']' => nest -= 1,
+                ';' if pending && nest == 0 => pending = false,
                 '{' => {
                     depth += 1;
                     if pending {
@@ -457,6 +463,14 @@ mod tests {
             "fn lib() {}\n#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\nfn lib2() {}\n";
         let s = sanitize(src);
         assert_eq!(s.test_lines, vec![false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn cfg_test_on_a_braceless_item_ends_at_its_semicolon() {
+        let src = "#[cfg(test)]\nmod reference;\npub use a::{B, C};\n\
+                   #[cfg(test)]\nconst N: [u8; 2] = [0; 2];\nfn lib() {}\n";
+        let s = sanitize(src);
+        assert_eq!(s.test_lines, vec![true, true, false, true, true, false]);
     }
 
     #[test]
