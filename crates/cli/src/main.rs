@@ -148,12 +148,13 @@ use dtexl::daemon::{
     run_daemon, run_spool_worker, DaemonOptions, DaemonReport, DaemonStatus, WorkerOptions,
 };
 use dtexl::dispatch::{DispatchOptions, FleetSpec};
+use dtexl::obs::json::{escape, str_array};
 use dtexl::obs::{ObsRollup, StallRollup};
 use dtexl::profile::{stall_diff_table, FrameProfile};
 use dtexl::spool::{jobs_from_specs, JobSpec, Spool};
 use dtexl::sweep::{
-    canon_text, journal_line, json_escape, merge_journals, JobError, PrefixCache, Progress,
-    RetryPolicy, Shard, SweepJob, SweepOptions,
+    canon_text, journal_line, merge_journals, JobError, PrefixCache, Progress, RetryPolicy, Shard,
+    SweepJob, SweepOptions,
 };
 use dtexl::{SimConfig, Simulator, CLOCK_HZ};
 use dtexl_pipeline::{BarrierMode, FrameSim, PipelineConfig, Renderer};
@@ -233,7 +234,7 @@ fn main() -> ExitCode {
 fn report_error(format: Format, message: &str) {
     match format {
         Format::Text => eprintln!("error: {message}"),
-        Format::Json => eprintln!("{{\"error\":\"{}\"}}", json_escape(message)),
+        Format::Json => eprintln!("{{\"error\":\"{}\"}}", escape(message)),
     }
 }
 
@@ -724,15 +725,6 @@ impl FleetFlags {
     }
 }
 
-/// Render keys as a JSON array of strings.
-fn json_str_array(keys: &[String]) -> String {
-    let quoted: Vec<String> = keys
-        .iter()
-        .map(|k| format!("\"{}\"", json_escape(k)))
-        .collect();
-    format!("[{}]", quoted.join(","))
-}
-
 /// `dtexl sweep dispatch`: the daemon on a pre-armed spool in
 /// `--workdir`. The axes become one batch, accepted with the drain
 /// already requested, so the fleet drains exactly the spool's batches
@@ -781,10 +773,10 @@ fn cmd_sweep_dispatch(args: &mut Args, format: Format) -> Result<ExitCode, Strin
             report.ok,
             report.failed,
             report.missing.len(),
-            json_str_array(&report.poisoned),
+            str_array(&report.poisoned),
             report.shards.len(),
             report.shards.iter().map(|s| s.restarts).sum::<u32>(),
-            json_escape(&merged.display().to_string()),
+            escape(&merged.display().to_string()),
             report.exit_code()
         ),
     }
@@ -813,7 +805,7 @@ fn cmd_sweep_submit(args: &mut Args, format: Format) -> Result<ExitCode, String>
                 ),
                 Format::Json => println!(
                     "{{\"submit\":{{\"batch\":\"{}\",\"jobs\":{},\"duplicate\":false}}}}",
-                    json_escape(&receipt.batch),
+                    escape(&receipt.batch),
                     receipt.jobs
                 ),
             }
@@ -829,7 +821,7 @@ fn cmd_sweep_submit(args: &mut Args, format: Format) -> Result<ExitCode, String>
                 }
                 Format::Json => println!(
                     "{{\"submit\":{{\"batch\":\"{}\",\"jobs\":{},\"duplicate\":true}}}}",
-                    json_escape(&batch),
+                    escape(&batch),
                     specs.len()
                 ),
             }
@@ -863,7 +855,7 @@ fn cmd_sweep_daemon(args: &mut Args, format: Format) -> Result<ExitCode, String>
                 report.ok,
                 report.failed,
                 report.missing.len(),
-                json_str_array(&report.poisoned),
+                str_array(&report.poisoned),
                 report.shards.len(),
                 report.shards.iter().map(|s| s.restarts).sum::<u32>(),
                 report.batches.0,

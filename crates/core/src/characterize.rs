@@ -7,11 +7,10 @@
 
 use crate::sim::{SimConfig, Simulator};
 use dtexl_scene::{Game, SceneSpec};
-use serde::{Deserialize, Serialize};
 
 /// Measured characteristics of one workload under the baseline
 /// configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadProfile {
     /// The benchmark.
     pub game: Game,

@@ -46,13 +46,13 @@ use crate::dispatch::{
     audit_coverage, DispatchOptions, Fleet, FleetSpec, ShardOutcome, ShardSummary,
 };
 use crate::registry::{DaemonMetrics, RESTART_CAUSES};
-use crate::spool::{atomic_write, field_bool, jobs_from_specs, Spool, EVENTS_ROTATE_BYTES};
+use crate::spool::{atomic_write, jobs_from_specs, Spool, EVENTS_ROTATE_BYTES};
 use crate::sweep::{
-    canon_text, field_str, field_u64, journal_line, json_escape, latest_entries, run_sweep,
-    JobError, JobRecord, JobStatus, MergeAccumulator, MergeStats, Progress, ProgressKind, SweepJob,
-    SweepOptions,
+    canon_text, journal_line, latest_entries, run_sweep, JobError, JobRecord, JobStatus,
+    MergeAccumulator, MergeStats, Progress, ProgressKind, SweepJob, SweepOptions,
 };
 use crate::tail::TailReader;
+use dtexl_obs::json::{self, escape, str_array, FromJson, Json};
 use dtexl_pipeline::PipelineConfig;
 use std::collections::BTreeSet;
 use std::path::PathBuf;
@@ -90,7 +90,7 @@ impl ShardStatus {
         let mut s = format!(
             "{{\"index\":{},\"phase\":\"{}\"",
             self.index,
-            json_escape(&self.phase)
+            escape(&self.phase)
         );
         if let Some(pid) = self.pid {
             let _ = write!(s, ",\"pid\":{pid}");
@@ -108,17 +108,19 @@ impl ShardStatus {
         s.push('}');
         s
     }
+}
 
-    fn parse(obj: &str) -> Option<Self> {
+impl FromJson for ShardStatus {
+    fn from_json(value: &Json) -> Option<Self> {
         Some(Self {
-            index: u32::try_from(field_u64(obj, "index")?).ok()?,
-            phase: field_str(obj, "phase")?,
-            pid: field_u64(obj, "pid").and_then(|p| u32::try_from(p).ok()),
-            restarts: u32::try_from(field_u64(obj, "restarts")?).ok()?,
-            backoff_ms: field_u64(obj, "backoff_ms")?,
-            peak_alloc_bytes: field_u64(obj, "peak_alloc_bytes")?,
-            deaths: field_str_array(obj, "deaths")?,
-            in_flight: field_str_array(obj, "in_flight")?,
+            index: value.field("index")?,
+            phase: value.field("phase")?,
+            pid: value.field("pid"),
+            restarts: value.field("restarts")?,
+            backoff_ms: value.field("backoff_ms")?,
+            peak_alloc_bytes: value.field("peak_alloc_bytes")?,
+            deaths: value.field("deaths")?,
+            in_flight: value.field("in_flight")?,
         })
     }
 }
@@ -126,8 +128,9 @@ impl ShardStatus {
 /// The daemon's pollable status document — the exact content of the
 /// spool's `status.json` (and of one socket response). Serialized with
 /// [`to_json`](Self::to_json), parsed back with
-/// [`parse`](Self::parse); the pair round-trips field-by-field so
-/// tooling can consume the file without a JSON library.
+/// [`parse`](Self::parse) through the crate's one codec
+/// ([`dtexl_obs::json`]); the pair round-trips field-by-field, and any
+/// JSON parser reads the file.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DaemonStatus {
     /// `active` (work queued or in flight), `draining` (drain
@@ -181,7 +184,7 @@ impl DaemonStatus {
              \"submitted_jobs\":{},\"queued\":{},\"ok\":{},\"failed\":{},\"poisoned\":{},\
              \"batches_accepted\":{},\"batches_duplicate\":{},\"batches_rejected\":{},\
              \"peak_alloc_bytes\":{},\"in_flight\":{},\"shards\":[{}]}}",
-            json_escape(&self.state),
+            escape(&self.state),
             self.alive,
             self.pid,
             self.seq,
@@ -205,39 +208,24 @@ impl DaemonStatus {
     /// very first atomic swap and read an empty file).
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
-        let text = text.trim();
-        if text.is_empty() || !text.starts_with('{') || !text.ends_with('}') {
-            return None;
-        }
-        // Top-level fields are serialized before the shards array, so
-        // first-occurrence field extraction below never reads a
-        // shard's field; the shards are parsed from their own
-        // substrings.
-        let shards_tag = "\"shards\":[";
-        let shards_at = text.find(shards_tag)?;
-        let head = &text[..shards_at];
-        let tail = &text[shards_at + shards_tag.len()..];
-        let mut shards = Vec::new();
-        for chunk in tail.split("{\"index\":").skip(1) {
-            shards.push(ShardStatus::parse(&format!("{{\"index\":{chunk}"))?);
-        }
+        let v = json::parse(text)?;
         Some(Self {
-            state: field_str(head, "state")?,
-            alive: field_bool(head, "alive")?,
-            pid: u32::try_from(field_u64(head, "pid")?).ok()?,
-            seq: field_u64(head, "seq")?,
-            draining: field_bool(head, "draining")?,
-            submitted_jobs: field_u64(head, "submitted_jobs")?,
-            queued: field_u64(head, "queued")?,
-            ok: field_u64(head, "ok")?,
-            failed: field_u64(head, "failed")?,
-            poisoned: field_u64(head, "poisoned")?,
-            batches_accepted: field_u64(head, "batches_accepted")?,
-            batches_duplicate: field_u64(head, "batches_duplicate")?,
-            batches_rejected: field_u64(head, "batches_rejected")?,
-            peak_alloc_bytes: field_u64(head, "peak_alloc_bytes")?,
-            in_flight: field_str_array(head, "in_flight")?,
-            shards,
+            state: v.field("state")?,
+            alive: v.field("alive")?,
+            pid: v.field("pid")?,
+            seq: v.field("seq")?,
+            draining: v.field("draining")?,
+            submitted_jobs: v.field("submitted_jobs")?,
+            queued: v.field("queued")?,
+            ok: v.field("ok")?,
+            failed: v.field("failed")?,
+            poisoned: v.field("poisoned")?,
+            batches_accepted: v.field("batches_accepted")?,
+            batches_duplicate: v.field("batches_duplicate")?,
+            batches_rejected: v.field("batches_rejected")?,
+            peak_alloc_bytes: v.field("peak_alloc_bytes")?,
+            in_flight: v.field("in_flight")?,
+            shards: v.field("shards")?,
         })
     }
 
@@ -286,34 +274,6 @@ impl DaemonStatus {
         }
         s
     }
-}
-
-/// Render a string slice as a JSON array of escaped strings.
-fn str_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items
-        .iter()
-        .map(|s| format!("\"{}\"", json_escape(s)))
-        .collect();
-    format!("[{}]", quoted.join(","))
-}
-
-/// Extract a `"field":["a","b"]` string array. The serializer only
-/// ever puts keys, phase names and death descriptions in these arrays
-/// — none of which contain quotes, brackets or commas-inside-quotes —
-/// so scanning to the first `]` and splitting on `","` is exact for
-/// every document this module produces.
-fn field_str_array(obj: &str, field: &str) -> Option<Vec<String>> {
-    let tag = format!("\"{field}\":[");
-    let start = obj.find(&tag)? + tag.len();
-    let body = &obj[start..obj[start..].find(']')? + start];
-    if body.trim().is_empty() {
-        return Some(Vec::new());
-    }
-    Some(
-        body.split("\",\"")
-            .map(|s| s.trim_matches('"').to_string())
-            .collect(),
-    )
 }
 
 // --- live merger -----------------------------------------------------------
@@ -1193,6 +1153,36 @@ mod tests {
         // but a truncated read (non-atomic writer) must parse as None,
         // not panic.
         assert!(DaemonStatus::parse(&full[..full.len() / 2]).is_none());
+    }
+
+    #[test]
+    fn hostile_strings_round_trip_through_the_status_document() {
+        // Death messages and keys that a substring scan would split or
+        // cut short: quotes, brackets, `","`, a shard opener and a
+        // backslash.
+        let mut status = sample_status();
+        status.state = "active \"]}".into();
+        status.in_flight = vec!["C\\S|\"a\",\"b\"|96x64#0".into(), String::new()];
+        status.shards[0].deaths = vec![
+            "crashed (\"quoted\")".into(),
+            "wedged ] after [1,2]".into(),
+            "a\",\"b".into(),
+            "{\"index\":9,\"phase\":\"gave_up\"}".into(),
+        ];
+        status.shards[1].phase = "pending\\".into();
+        status.shards[1].in_flight = status.in_flight.clone();
+        let parsed = DaemonStatus::parse(&status.to_json()).expect("parse own rendering");
+        assert_eq!(parsed.state, status.state);
+        assert_eq!(parsed.in_flight, status.in_flight);
+        assert_eq!(parsed.shards.len(), 2);
+        for (p, s) in parsed.shards.iter().zip(&status.shards) {
+            assert_eq!(p.index, s.index);
+            assert_eq!(p.phase, s.phase);
+            assert_eq!(p.pid, s.pid);
+            assert_eq!(p.deaths, s.deaths);
+            assert_eq!(p.in_flight, s.in_flight);
+        }
+        assert_eq!(parsed, status);
     }
 
     #[test]

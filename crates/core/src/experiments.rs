@@ -1,6 +1,7 @@
 //! Reproduction of every figure and table in the paper's evaluation
 //! (§V), driven by a shared, cached simulation [`Lab`].
 
+use crate::lock;
 use crate::metrics::{Distribution, Table};
 use crate::sim::CLOCK_HZ;
 use crate::sweep::{run_sweep, JobError, SweepJob, SweepOptions, SweepReport};
@@ -8,14 +9,12 @@ use dtexl_mem::energy::EnergyModel;
 use dtexl_pipeline::{BarrierMode, FrameResult, PipelineConfig};
 use dtexl_scene::{Game, SceneSpec};
 use dtexl_sched::{AssignMode, NamedMapping, QuadGrouping, ScheduleConfig, TileOrder};
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 // lint: allow(determinism-hash) -- keyed lookup cache and dedup sets only; iteration order is never observed
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Experiment setup: resolution, frame and benchmark set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Setup {
     /// Screen width in pixels.
     pub width: u32,
@@ -122,8 +121,7 @@ impl Lab {
     /// for the fallible variant.
     pub fn result(&self, game: Game, sched: ScheduleConfig, upper: bool) -> Arc<FrameResult> {
         self.ensure(&[(game, sched, upper)]);
-        self.cache
-            .lock()
+        lock(&self.cache)
             .get(&Self::key(game, &sched, upper))
             // lint: allow(no-panic) -- ensure() either populated this key or already panicked with the job report
             .expect("just ensured")
@@ -151,9 +149,7 @@ impl Lab {
                 "job failed without a recorded error".into(),
             )));
         }
-        Ok(self
-            .cache
-            .lock()
+        Ok(lock(&self.cache)
             .get(&Self::key(game, &sched, upper))
             // lint: allow(no-panic) -- try_ensure returned success for this key on the line above
             .expect("just ensured")
@@ -196,7 +192,7 @@ impl Lab {
     /// `opts.journal` is set.
     pub fn try_ensure(&self, jobs: &[Job], opts: &SweepOptions) -> std::io::Result<SweepReport> {
         let missing: Vec<Job> = {
-            let cache = self.cache.lock();
+            let cache = lock(&self.cache);
             // lint: allow(determinism-hash) -- membership-only dedup; job order comes from the input slice
             let mut seen = std::collections::HashSet::new();
             jobs.iter()
@@ -237,7 +233,7 @@ impl Lab {
         // that ensured keys are present.
         opts.shard = None;
         run_sweep(&sweep_jobs, &opts, |job, result| {
-            self.cache.lock().insert(
+            lock(&self.cache).insert(
                 Self::key(job.game, &job.schedule, job.pipeline.upper_bound),
                 Arc::new(result),
             );

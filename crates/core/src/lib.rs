@@ -61,3 +61,14 @@ pub use dtexl_pipeline as pipeline;
 pub use dtexl_scene as scene;
 pub use dtexl_sched as sched;
 pub use dtexl_texture as texture;
+
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Lock `mutex`, recovering its data when a panicking holder poisoned
+/// it: an isolated job panic must not wedge the prefix cache, a
+/// sweep's records or [`experiments::Lab`]. Recovery is sound because
+/// every critical section is one map or vector update, which leaves
+/// the data valid at every step.
+pub(crate) fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}

@@ -1,9 +1,7 @@
 //! Result tables and distribution summaries.
 
-use serde::{Deserialize, Serialize};
-
 /// One labeled row of numbers.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Row label (usually a game alias or a mapping name).
     pub label: String,
@@ -15,7 +13,7 @@ pub struct Row {
 /// game or configuration. Every figure/table reproduction produces one
 /// of these; [`Table::render`] prints it aligned for terminals and
 /// reports.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     /// Short id, e.g. `"fig16"`.
     pub id: String,
@@ -202,7 +200,7 @@ impl Table {
 
 /// Summary of an empirical distribution (for the violin plots of
 /// Figs. 14 and 15).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Distribution {
     /// Smallest sample.
     pub min: f64,

@@ -1,16 +1,16 @@
 //! One-call simulation facade.
 
+use crate::lock;
 use dtexl_mem::energy::{EnergyBreakdown, EnergyModel};
 use dtexl_pipeline::{BarrierMode, FrameResult, FrameSim, PipelineConfig};
 use dtexl_scene::{Game, SceneSpec};
 use dtexl_sched::ScheduleConfig;
-use serde::{Deserialize, Serialize};
 
 /// The modeled GPU clock (Table II: 600 MHz).
 pub const CLOCK_HZ: f64 = 600.0e6;
 
 /// Everything needed to simulate one frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Which benchmark to run.
     pub game: Game,
@@ -89,7 +89,7 @@ pub struct SimReport {
 /// The paper's FPS numbers average over gameplay; this is the
 /// equivalent for the synthetic stand-ins, whose camera/sprites move
 /// with the frame index.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequenceReport {
     /// Per-frame cycle counts.
     pub cycles: Vec<u64>,
@@ -206,7 +206,7 @@ impl Simulator {
         workers: usize,
     ) -> SequenceReport {
         let next = std::sync::atomic::AtomicU32::new(0);
-        let rows = parking_lot::Mutex::new(Vec::with_capacity(num_frames as usize));
+        let rows = std::sync::Mutex::new(Vec::with_capacity(num_frames as usize));
         std::thread::scope(|scope| {
             for _ in 0..workers.max(1).min(num_frames as usize) {
                 scope.spawn(|| loop {
@@ -219,12 +219,13 @@ impl Simulator {
                         ..*config
                     };
                     let r = Self::simulate(&frame_cfg);
-                    rows.lock()
-                        .push((f, r.cycles, r.l2_accesses, r.energy.total_pj()));
+                    lock(&rows).push((f, r.cycles, r.l2_accesses, r.energy.total_pj()));
                 });
             }
         });
-        let mut rows = rows.into_inner();
+        let mut rows = rows
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         rows.sort_unstable_by_key(|row| row.0);
         SequenceReport {
             cycles: rows.iter().map(|row| row.1).collect(),

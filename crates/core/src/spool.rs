@@ -36,7 +36,8 @@
 //! already records the completed config hashes — the worker's resume
 //! filter skips them for free. The spool only dedups *batches*.
 
-use crate::sweep::{field_str, field_u64, fnv1a, json_escape, JobError, SweepJob};
+use crate::sweep::{fnv1a, JobError, SweepJob};
+use dtexl_obs::json::{self, escape, FromJson};
 use dtexl_pipeline::PipelineConfig;
 use dtexl_scene::Game;
 use dtexl_sched::ScheduleConfig;
@@ -111,7 +112,7 @@ impl JobSpec {
         format!(
             "{{\"game\":\"{}\",\"schedule\":\"{}\",\"width\":{},\"height\":{},\"frame\":{},\"upper\":{}}}",
             self.game.alias(),
-            json_escape(&self.schedule_name),
+            escape(&self.schedule_name),
             self.width,
             self.height,
             self.frame,
@@ -121,20 +122,22 @@ impl JobSpec {
 
     /// Parse one batch-file line; `None` for blank, truncated,
     /// corrupt or unresolvable lines (unknown game / schedule, zero
-    /// dimensions).
+    /// dimensions), and for a `width`, `height` or `frame` that is not
+    /// an unsigned integer or an `upper` that is not a bool. A missing
+    /// `upper` is `false`.
     #[must_use]
     pub fn parse_line(line: &str) -> Option<Self> {
-        let line = line.trim();
-        if line.is_empty() || !line.starts_with('{') || !line.ends_with('}') {
-            return None;
-        }
-        let game = field_str(line, "game")?;
-        let schedule = field_str(line, "schedule")?;
-        let width = u32::try_from(field_u64(line, "width")?).ok()?;
-        let height = u32::try_from(field_u64(line, "height")?).ok()?;
-        let frame = u32::try_from(field_u64(line, "frame")?).ok()?;
-        let upper = field_bool(line, "upper").unwrap_or_default();
-        Self::new(&game, &schedule, width, height, frame, upper).ok()
+        let v = json::parse(line)?;
+        let upper = v.get("upper").map_or(Some(false), bool::from_json)?;
+        Self::new(
+            &v.field::<String>("game")?,
+            &v.field::<String>("schedule")?,
+            v.field("width")?,
+            v.field("height")?,
+            v.field("frame")?,
+            upper,
+        )
+        .ok()
     }
 
     /// Materialize the spec into a runnable [`SweepJob`] under the
@@ -152,22 +155,6 @@ impl JobSpec {
                 ..*pipeline_base
             },
         }
-    }
-}
-
-/// Extract a boolean field from a single-line JSON object (shared
-/// with the daemon's status-document parser, the other hand-rolled
-/// format with boolean fields).
-pub(crate) fn field_bool(line: &str, field: &str) -> Option<bool> {
-    let tag = format!("\"{field}\":");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
     }
 }
 
@@ -623,6 +610,25 @@ mod tests {
             "unknown game"
         );
         assert!(JobSpec::new("CCS", "dtexl", 0, 64, 0, false).is_err());
+        // Batch lines come from outside the program: a present field
+        // of the wrong JSON type is malformed, not a default or a
+        // prefix of a number.
+        let good = JobSpec::new("CCS", "dtexl", 96, 64, 0, false)
+            .unwrap()
+            .to_line();
+        for (from, to) in [
+            ("\"upper\":false", "\"upper\":\"true\""),
+            ("\"upper\":false", "\"upper\":1"),
+            ("\"width\":96", "\"width\":96.5"),
+            ("\"width\":96", "\"width\":1e3"),
+        ] {
+            let bad = good.replace(from, to);
+            assert_ne!(bad, good);
+            assert!(JobSpec::parse_line(&bad).is_none(), "{bad}");
+        }
+        // A missing `upper` is a base job.
+        let no_upper = good.replace(",\"upper\":false", "");
+        assert_eq!(JobSpec::parse_line(&no_upper).map(|s| s.upper), Some(false));
     }
 
     #[test]
@@ -659,12 +665,28 @@ mod tests {
         )
         .unwrap();
         std::fs::write(spool.incoming_dir().join("torn.jsonl"), "{\"game\":\"CC").unwrap();
+        // A complete batch whose second line carries a string `upper`:
+        // the whole batch is quarantined, not run as a base job.
+        let typed = spec("GTr", "dtexl").to_line();
+        std::fs::write(
+            spool.incoming_dir().join("typed.jsonl"),
+            format!(
+                "{typed}\n{}\n",
+                typed.replace("\"upper\":false", "\"upper\":\"true\"")
+            ),
+        )
+        .unwrap();
 
         let report = spool.accept_incoming();
         assert_eq!(report.accepted, vec![receipt.batch.clone()]);
         assert_eq!(report.duplicates, Vec::<String>::new());
-        assert_eq!(report.rejected.len(), 1, "only the torn complete file");
-        assert_eq!(report.rejected[0].0, "torn.jsonl");
+        let rejected: Vec<&str> = report.rejected.iter().map(|r| r.0.as_str()).collect();
+        assert_eq!(
+            rejected,
+            ["torn.jsonl", "typed.jsonl"],
+            "the torn and the mistyped complete files"
+        );
+        assert!(spool.incoming_dir().join("typed.jsonl.rejected").exists());
         assert!(
             spool.incoming_dir().join("torn.jsonl.rejected").exists(),
             "quarantined, not deleted"

@@ -51,24 +51,26 @@
 //!   and bounded by a retained-bytes budget. Metrics are bit-identical
 //!   with the cache on or off.
 //!
-//! The journal is hand-rolled JSON (the vendored `serde` stand-in does
-//! not serialize); the format is pinned in `docs/ROBUSTNESS.md` and by
-//! the tests in this module.
+//! The journal is one JSON object per line, written by [`journal_line`]
+//! and read back by [`parse_journal_line`] through the crate's one
+//! codec, [`dtexl_obs::json`]; the format is pinned in
+//! `docs/ROBUSTNESS.md` and by the tests in this module.
 
+use crate::lock;
 use dtexl_alloc::{meter_current_thread, AllocMeter};
+use dtexl_obs::json::{self, escape, FromJson, Json};
 use dtexl_obs::{NullProbe, ObsRollup, Probe, RollupMode};
 use dtexl_pipeline::{
     compose_frame_probed, BarrierMode, FramePrefix, FrameResult, FrameSim, PipelineConfig, SimError,
 };
 use dtexl_scene::{Game, SceneSpec};
 use dtexl_sched::ScheduleConfig;
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One unit of sweep work: a fully-specified frame simulation.
@@ -348,7 +350,7 @@ impl PrefixCache {
     /// Fetch the prefix cached under `key`, if resident.
     #[must_use]
     pub fn lookup(&self, key: u64) -> Option<Arc<FramePrefix>> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         match inner.entries.get(&key) {
             Some(prefix) => {
                 let prefix = Arc::clone(prefix);
@@ -369,7 +371,7 @@ impl PrefixCache {
     /// identical, so whichever insert lands first wins).
     pub fn insert(&self, key: u64, prefix: Arc<FramePrefix>) {
         let size = prefix.approx_bytes();
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         if inner.entries.contains_key(&key) {
             return;
         }
@@ -396,7 +398,7 @@ impl PrefixCache {
     /// Snapshot of the cache's counters.
     #[must_use]
     pub fn stats(&self) -> PrefixCacheStats {
-        let inner = self.inner.lock();
+        let inner = lock(&self.inner);
         PrefixCacheStats {
             entries: inner.entries.len(),
             bytes: inner.bytes,
@@ -472,6 +474,13 @@ impl std::str::FromStr for Shard {
             .parse()
             .map_err(|_| ParseShardError::Malformed(s.into()))?;
         Shard::new(index, count)
+    }
+}
+
+/// A journal or progress line's `"shard":"i/N"` member.
+impl FromJson for Shard {
+    fn from_json(value: &Json) -> Option<Self> {
+        String::from_json(value)?.parse().ok()
     }
 }
 
@@ -854,7 +863,7 @@ impl Progress {
         let mut s = format!(
             "{{\"event\":\"{}\",\"key\":\"{}\",\"index\":{},\"attempt\":{},\"elapsed_ms\":{},\"peak_alloc_bytes\":{}",
             self.kind.name(),
-            json_escape(&self.key),
+            escape(&self.key),
             self.index,
             self.attempt,
             self.elapsed.as_millis(),
@@ -872,7 +881,7 @@ impl Progress {
             let _ = write!(s, ",\"status\":\"{}\"", status.name());
         }
         if let Some(top) = &self.top_stall {
-            let _ = write!(s, ",\"top_stall\":\"{}\"", json_escape(top));
+            let _ = write!(s, ",\"top_stall\":\"{}\"", escape(top));
         }
         if let Some(dram) = self.dram_requests {
             let _ = write!(s, ",\"dram_requests\":{dram}");
@@ -888,7 +897,7 @@ impl Progress {
 /// [`parse_journal_line`]: a dying child may leave a partial final
 /// line, and the tail reader must shrug it off.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProgressLine {
+pub(crate) struct ProgressLine {
     /// The `"event"` wire name (`start`/`attempt`/`retry`/`heartbeat`/
     /// `done`).
     pub event: String,
@@ -921,27 +930,39 @@ pub struct ProgressLine {
 
 /// Parse one progress JSONL line; `None` for blank, truncated or
 /// corrupt lines.
-#[must_use]
-pub fn parse_progress_line(line: &str) -> Option<ProgressLine> {
-    let line = line.trim();
-    if line.is_empty() || !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
+pub(crate) fn parse_progress_line(line: &str) -> Option<ProgressLine> {
+    let v = json::parse(line)?;
     Some(ProgressLine {
-        event: field_str(line, "event")?,
-        key: field_str(line, "key")?,
-        index: field_u64(line, "index")?,
-        attempt: field_u64(line, "attempt").unwrap_or(0),
-        elapsed_ms: field_u64(line, "elapsed_ms").unwrap_or(0),
-        peak_alloc_bytes: field_u64(line, "peak_alloc_bytes").unwrap_or(0),
-        shard: field_str(line, "shard").and_then(|s| s.parse().ok()),
-        pid: field_u64(line, "pid").and_then(|p| u32::try_from(p).ok()),
-        seq: field_u64(line, "seq"),
-        status: field_str(line, "status"),
-        top_stall: field_str(line, "top_stall"),
-        dram_requests: field_u64(line, "dram_requests"),
-        config_hash: field_str(line, "config_hash").and_then(|h| u64::from_str_radix(&h, 16).ok()),
+        event: v.field("event")?,
+        key: v.field("key")?,
+        index: v.field("index")?,
+        attempt: v.field("attempt").unwrap_or(0),
+        elapsed_ms: v.field("elapsed_ms").unwrap_or(0),
+        peak_alloc_bytes: v.field("peak_alloc_bytes").unwrap_or(0),
+        shard: v.field("shard"),
+        pid: v.field("pid"),
+        seq: v.field("seq"),
+        status: v.field("status"),
+        top_stall: v.field("top_stall"),
+        dram_requests: v.field("dram_requests"),
+        config_hash: config_hash_field(&v),
     })
+}
+
+/// A journal line's three metric members, when all are present.
+impl FromJson for JobMetrics {
+    fn from_json(line: &Json) -> Option<Self> {
+        Some(Self {
+            coupled_cycles: line.field("coupled_cycles")?,
+            decoupled_cycles: line.field("decoupled_cycles")?,
+            l2_accesses: line.field("l2_accesses")?,
+        })
+    }
+}
+
+/// The hex `config_hash` member of a journal or progress line.
+fn config_hash_field(v: &Json) -> Option<u64> {
+    u64::from_str_radix(&v.field::<String>("config_hash")?, 16).ok()
 }
 
 /// Headline metrics captured per successful job (journaled, so a
@@ -1380,7 +1401,7 @@ where
                         shard: opts.shard,
                         obs: None,
                     };
-                    records.lock().push(record);
+                    lock(&records).push(record);
                     continue;
                 }
                 // Poison quarantine: the fleet supervisor journaled
@@ -1402,7 +1423,7 @@ where
                         0,
                         Some(JobStatus::Failed),
                     );
-                    records.lock().push(JobRecord {
+                    lock(&records).push(JobRecord {
                         index,
                         key,
                         status: JobStatus::Failed,
@@ -1529,18 +1550,18 @@ where
                 };
                 if let Some(j) = &journal {
                     let line = journal_line(&record);
-                    let mut file = j.lock();
+                    let mut file = lock(j);
                     // Journal write failures must not kill the sweep;
                     // the in-memory report stays authoritative.
                     let _ = writeln!(file, "{line}");
                     let _ = file.flush();
                 }
-                records.lock().push(record);
+                lock(&records).push(record);
             });
         }
     });
 
-    let mut records = records.into_inner();
+    let mut records = records.into_inner().unwrap_or_else(PoisonError::into_inner);
     records.sort_by_key(|r| r.index);
     let aborted = abort.load(Ordering::Relaxed) && !opts.keep_going;
     // Jobs never dispatched because of an abort still get a record, so
@@ -1573,35 +1594,12 @@ where
     Ok(SweepReport { records, aborted })
 }
 
-// --- hand-rolled JSON (the vendored serde stand-in does not serialize) ---
-
-/// Escape a string for embedding in a JSON string literal.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write as _;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One journal line for a finished job (single-line JSON object).
 #[must_use]
 pub fn journal_line(r: &JobRecord) -> String {
     let mut s = format!(
         "{{\"key\":\"{}\",\"status\":\"{}\",\"attempts\":{},\"elapsed_ms\":{},\"config_hash\":\"{:016x}\"",
-        json_escape(&r.key),
+        escape(&r.key),
         r.status.name(),
         r.attempts,
         r.elapsed.as_millis(),
@@ -1629,53 +1627,11 @@ pub fn journal_line(r: &JobRecord) -> String {
             s,
             ",\"error_kind\":\"{}\",\"error\":\"{}\"",
             e.kind(),
-            json_escape(&e.to_string())
+            escape(&e.to_string())
         );
     }
     s.push('}');
     s
-}
-
-/// Extract a string field from a single-line JSON object (minimal
-/// parser for the journal's own output; tolerates unknown fields).
-/// `pub(crate)`: the spool and daemon modules parse their own
-/// hand-rolled documents (batch lines, status files) with the same
-/// helpers so every wire format in the crate shares one dialect.
-pub(crate) fn field_str(line: &str, field: &str) -> Option<String> {
-    let tag = format!("\"{field}\":\"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extract an unsigned integer field from a single-line JSON object.
-pub(crate) fn field_u64(line: &str, field: &str) -> Option<u64> {
-    let tag = format!("\"{field}\":");
-    let start = line.find(&tag)? + tag.len();
-    let digits: String = line[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// A parsed journal entry (the fields resume and tests need).
@@ -1711,42 +1667,18 @@ pub struct JournalEntry {
 /// must shrug it off).
 #[must_use]
 pub fn parse_journal_line(line: &str) -> Option<JournalEntry> {
-    let line = line.trim();
-    if line.is_empty() || !line.starts_with('{') || !line.ends_with('}') {
-        return None;
-    }
-    let key = field_str(line, "key")?;
-    let status = field_str(line, "status")?;
-    let metrics = match (
-        field_u64(line, "coupled_cycles"),
-        field_u64(line, "decoupled_cycles"),
-        field_u64(line, "l2_accesses"),
-    ) {
-        (Some(c), Some(d), Some(l)) => Some(JobMetrics {
-            coupled_cycles: c,
-            decoupled_cycles: d,
-            l2_accesses: l,
-        }),
-        _ => None,
-    };
-    // The rollup object contains no nested braces (pinned by its own
-    // tests), so slicing from its opening brace to the next `}` is
-    // exact.
-    let obs = line.find("\"obs\":{").and_then(|at| {
-        let body = &line[at + "\"obs\":".len()..];
-        ObsRollup::parse(&body[..=body.find('}')?])
-    });
+    let v = json::parse(line)?;
     Some(JournalEntry {
-        key,
-        status,
-        attempts: field_u64(line, "attempts").unwrap_or(0),
-        elapsed_ms: field_u64(line, "elapsed_ms").unwrap_or(0),
-        metrics,
-        obs,
-        config_hash: field_str(line, "config_hash").and_then(|h| u64::from_str_radix(&h, 16).ok()),
-        peak_alloc_bytes: field_u64(line, "peak_alloc_bytes"),
-        shard: field_str(line, "shard").and_then(|s| s.parse().ok()),
-        error_kind: field_str(line, "error_kind"),
+        key: v.field("key")?,
+        status: v.field("status")?,
+        attempts: v.field("attempts").unwrap_or(0),
+        elapsed_ms: v.field("elapsed_ms").unwrap_or(0),
+        metrics: JobMetrics::from_json(&v),
+        obs: v.field("obs"),
+        config_hash: config_hash_field(&v),
+        peak_alloc_bytes: v.field("peak_alloc_bytes"),
+        shard: v.field("shard"),
+        error_kind: v.field("error_kind"),
     })
 }
 
@@ -2172,9 +2104,115 @@ mod tests {
         assert_eq!(e.status, "failed");
         assert_eq!(e.metrics, None);
         assert_eq!(e.error_kind.as_deref(), Some("panic"));
-        assert!(field_str(&line, "error")
+        assert!(json::parse(&line)
+            .and_then(|v| v.field::<String>("error"))
             .unwrap()
             .contains("boom \"quoted\""));
+    }
+
+    /// Strings that a substring scanner would misread: a key with a
+    /// backslash and quotes, and an error message that carries a
+    /// closing brace, a fake `obs` object and a fake status.
+    const HOSTILE_KEY: &str = "C\\S|\"x\"]|{\"index\":1}|96x64#0";
+    const HOSTILE_ERROR: &str = "boom } \"obs\":{\"l1_hits\":9} \"status\":\"ok\" \u{2028}";
+
+    #[test]
+    fn hostile_journal_records_round_trip_field_by_field() {
+        let mut obs = ObsRollup {
+            l1_hits: 40,
+            l2_misses: u64::MAX,
+            ..ObsRollup::default()
+        };
+        obs.coupled.units[13] = [1, 2, 3];
+        let ok = JobRecord {
+            index: 0,
+            key: HOSTILE_KEY.into(),
+            status: JobStatus::Ok,
+            attempts: 1,
+            elapsed: Duration::from_millis(12),
+            error: None,
+            metrics: Some(JobMetrics {
+                coupled_cycles: 100,
+                decoupled_cycles: 90,
+                l2_accesses: 5,
+            }),
+            config_hash: u64::MAX,
+            peak_alloc: Some(0),
+            shard: Some(Shard { index: 2, count: 3 }),
+            obs: Some(obs),
+        };
+        let failed = JobRecord {
+            status: JobStatus::Failed,
+            error: Some(JobError::Panicked(HOSTILE_ERROR.into())),
+            metrics: None,
+            obs: None,
+            shard: None,
+            ..ok.clone()
+        };
+        for r in [&ok, &failed] {
+            let line = journal_line(r);
+            let e = parse_journal_line(&line).expect("parse own line");
+            assert_eq!(e.key, r.key);
+            assert_eq!(e.status, r.status.name());
+            assert_eq!(e.attempts, u64::from(r.attempts));
+            assert_eq!(e.elapsed_ms, 12);
+            assert_eq!(e.metrics, r.metrics);
+            assert_eq!(e.obs, r.obs, "{line}");
+            assert_eq!(e.config_hash, Some(r.config_hash));
+            assert_eq!(e.peak_alloc_bytes, r.peak_alloc);
+            assert_eq!(e.shard, r.shard);
+            assert_eq!(
+                e.error_kind.as_deref(),
+                r.error.as_ref().map(JobError::kind)
+            );
+            let error = json::parse(&line).and_then(|v| v.field::<String>("error"));
+            assert_eq!(error, r.error.as_ref().map(ToString::to_string));
+        }
+    }
+
+    #[test]
+    fn every_progress_kind_round_trips_field_by_field() {
+        for kind in [
+            ProgressKind::Start,
+            ProgressKind::Attempt,
+            ProgressKind::Retry,
+            ProgressKind::Heartbeat,
+            ProgressKind::Done,
+            ProgressKind::Idle,
+        ] {
+            let done = kind == ProgressKind::Done;
+            let p = Progress {
+                kind,
+                key: HOSTILE_KEY.into(),
+                index: 3,
+                attempt: 2,
+                elapsed: Duration::from_millis(99),
+                peak_alloc_bytes: u64::MAX,
+                shard: Some(Shard { index: 1, count: 2 }),
+                pid: u32::MAX,
+                seq: 7,
+                status: done.then_some(JobStatus::Ok),
+                top_stall: done.then(|| HOSTILE_ERROR.to_string()),
+                dram_requests: done.then_some(11),
+                config_hash: 0x0123_4567_89ab_cdef,
+            };
+            let line = p.to_json();
+            let l = parse_progress_line(&line).expect("parse own line");
+            assert_eq!(l.event, kind.name());
+            assert_eq!(l.key, p.key);
+            assert_eq!(l.index, 3);
+            assert_eq!(l.attempt, 2);
+            assert_eq!(l.elapsed_ms, 99);
+            assert_eq!(l.peak_alloc_bytes, u64::MAX);
+            assert_eq!(l.shard, p.shard);
+            assert_eq!(l.pid, Some(u32::MAX));
+            assert_eq!(l.seq, Some(7));
+            assert_eq!(l.status.as_deref(), done.then_some("ok"));
+            assert_eq!(l.top_stall, p.top_stall, "{line}");
+            assert_eq!(l.dram_requests, p.dram_requests);
+            let hash = (kind != ProgressKind::Idle).then_some(p.config_hash);
+            assert_eq!(l.config_hash, hash);
+        }
     }
 
     #[test]
@@ -2527,11 +2565,12 @@ mod tests {
             ..SweepOptions::default()
         };
         let done = Mutex::new(Vec::new());
-        let report = run_sweep(&jobs, &opts, |job, _| done.lock().push(job.key())).unwrap();
+        let report =
+            run_sweep(&jobs, &opts, |job, _| done.lock().unwrap().push(job.key())).unwrap();
         assert!(!report.aborted);
         assert_eq!(report.completed(), 2);
         assert_eq!(report.failed().len(), 1);
-        assert_eq!(done.lock().len(), 2);
+        assert_eq!(done.lock().unwrap().len(), 2);
     }
 
     #[test]
@@ -2938,11 +2977,12 @@ mod tests {
         static EVENTS: std::sync::LazyLock<Mutex<Vec<Progress>>> =
             std::sync::LazyLock::new(|| Mutex::new(Vec::new()));
         fn capture(p: &Progress) {
-            EVENTS.lock().push(p.clone());
+            EVENTS.lock().unwrap().push(p.clone());
         }
         let kinds = |key: &str| -> Vec<ProgressKind> {
             EVENTS
                 .lock()
+                .unwrap()
                 .iter()
                 .filter(|p| p.key == key)
                 .map(|p| p.kind)
@@ -2985,6 +3025,7 @@ mod tests {
         );
         let w_done = EVENTS
             .lock()
+            .unwrap()
             .iter()
             .find(|p| p.key == wedged.key() && p.kind == ProgressKind::Done)
             .cloned()
@@ -2994,6 +3035,7 @@ mod tests {
         assert!(
             EVENTS
                 .lock()
+                .unwrap()
                 .iter()
                 .filter(|p| p.key == wedged.key())
                 .all(|p| p.config_hash == wedged.config_hash()),
@@ -3006,6 +3048,7 @@ mod tests {
         assert!(!h.contains(&ProgressKind::Retry));
         let h_done = EVENTS
             .lock()
+            .unwrap()
             .iter()
             .find(|p| p.key == healthy.key() && p.kind == ProgressKind::Done)
             .cloned()
@@ -3019,7 +3062,7 @@ mod tests {
         // Fleet-correlation fields: every event stamps this process's
         // pid, and the run's sequence numbers are gap-free from 0.
         {
-            let events = EVENTS.lock();
+            let events = EVENTS.lock().unwrap();
             assert!(events.iter().all(|p| p.pid == std::process::id()));
             assert!(events.iter().all(|p| p.shard.is_none()), "unsharded run");
             let mut seqs: Vec<u64> = events.iter().map(|p| p.seq).collect();
@@ -3038,7 +3081,7 @@ mod tests {
             ..SweepOptions::default()
         };
         run_sweep(&[healthy], &journal_opts, |_, _| {}).unwrap();
-        EVENTS.lock().clear();
+        EVENTS.lock().unwrap().clear();
         let resumed = SweepOptions {
             progress: Some(capture),
             ..journal_opts
@@ -3049,7 +3092,7 @@ mod tests {
             kinds(&healthy.key()),
             vec![ProgressKind::Start, ProgressKind::Done]
         );
-        let skip_done = EVENTS.lock().last().cloned().unwrap();
+        let skip_done = EVENTS.lock().unwrap().last().cloned().unwrap();
         assert_eq!(skip_done.status, Some(JobStatus::Skipped));
         assert_eq!(skip_done.attempt, 0);
         std::fs::remove_dir_all(&dir).ok();

@@ -19,7 +19,6 @@
 use crate::hierarchy::ReplacementKind;
 use crate::stats::CacheStats;
 use crate::{LineAddr, LINE_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// Geometry of a cache (Table II style: size, line, associativity,
 /// access latency in cycles).
@@ -31,7 +30,7 @@ use serde::{Deserialize, Serialize};
 /// let l1 = CacheConfig::texture_l1();
 /// assert_eq!(l1.sets(), 16 * 1024 / 64 / 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub size_bytes: u64,

@@ -7,12 +7,10 @@
 //! line address and a request counter into the window, which gives
 //! reproducible per-run latencies with bank-conflict-like jitter.
 
-use serde::{Deserialize, Serialize};
-
 use crate::LineAddr;
 
 /// DRAM latency window configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramConfig {
     /// Minimum load-to-use latency in cycles.
     pub min_latency: u32,

@@ -14,11 +14,10 @@
 //! by this event model.
 
 use crate::stats::HierarchyStats;
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Per-event energies (picojoules) and static power.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyParams {
     /// Energy per L1 cache access (any L1: texture, vertex, tile).
     pub l1_access_pj: f64,
@@ -51,7 +50,7 @@ impl Default for EnergyParams {
 }
 
 /// Event counts accumulated over a simulation.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EnergyEvents {
     /// Total L1 accesses (texture + vertex + tile caches).
     pub l1_accesses: u64,
@@ -89,7 +88,7 @@ impl AddAssign for EnergyEvents {
 }
 
 /// Energy totals in picojoules, by component.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
     /// L1 dynamic energy.
     pub l1_pj: f64,
@@ -133,7 +132,7 @@ impl EnergyBreakdown {
 /// assert!(e.l2_pj > 0.0 && e.static_pj > 0.0);
 /// assert_eq!(e.l1_pj, 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyModel {
     params: EnergyParams,
 }

@@ -5,13 +5,12 @@ use crate::dram::{DramConfig, DramModel};
 use crate::lane::{L1Lane, LaneHandle, SharedL2};
 use crate::stats::HierarchyStats;
 use crate::LineAddr;
-use serde::{Deserialize, Serialize};
 
 /// Replacement policy selector for the hierarchy's caches.
 ///
 /// The baseline GPU uses LRU (Table II); the other policies exist for
 /// ablation studies showing DTexL's gains are not LRU artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReplacementKind {
     /// Least recently used (baseline).
     #[default]
@@ -23,7 +22,7 @@ pub enum ReplacementKind {
 }
 
 /// Configuration of the texture memory hierarchy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TextureHierarchyConfig {
     /// Number of shader cores / private L1 texture caches.
     pub num_l1: usize,

@@ -1,10 +1,9 @@
 //! Statistics for caches and the texture hierarchy.
 
-use serde::{Deserialize, Serialize};
 use std::ops::AddAssign;
 
 /// Hit/miss counters for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Total lookups.
     pub accesses: u64,
@@ -52,7 +51,7 @@ impl AddAssign for CacheStats {
 /// the delta to one fragment subtile without walking full
 /// [`HierarchyStats`]. All counters are cumulative since construction;
 /// subtract two snapshots to get a window's traffic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemCounters {
     /// Shared-L2 lookups.
     pub l2_accesses: u64,
@@ -85,7 +84,7 @@ impl MemCounters {
 ///
 /// `l2.accesses` is the headline metric of the paper (Figs. 2, 11, 16):
 /// every private-L1 miss becomes an L2 access.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HierarchyStats {
     /// Per-L1 statistics, indexed by shader core.
     pub l1: Vec<CacheStats>,

@@ -9,8 +9,9 @@
 //!
 //! Design constraints (all load-bearing, mirroring `dtexl-alloc`):
 //!
-//! * **Zero dependencies.** The [`perfetto`] exporter hand-rolls its
-//!   JSON; nothing here touches the vendored registry.
+//! * **Zero dependencies.** The [`perfetto`] exporter and the sweep
+//!   service's documents share the hand-rolled codec in [`json`];
+//!   nothing here touches the vendored registry.
 //! * **Compiles to a no-op when disabled.** Instrumented code is
 //!   generic over [`Probe`]; the default [`NullProbe`] reports
 //!   `enabled() == false` from an inlined constant, so the
@@ -25,6 +26,7 @@
 //!   allocates past the configured capacity, and overflow is surfaced
 //!   as a [`dropped`](EventSink::dropped) count instead of silent loss.
 
+pub mod json;
 pub mod perfetto;
 pub mod rollup;
 

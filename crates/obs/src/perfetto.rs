@@ -8,7 +8,8 @@
 //! spans carry their subtile's [`MemSample`] counters in `args`, which
 //! Perfetto shows in the selection panel.
 //!
-//! Everything is rendered with hand-rolled JSON (no dependencies) and
+//! Everything is rendered with hand-rolled JSON (strings through
+//! [`json::escape`](crate::json::escape), no dependencies) and
 //! in a deterministic order — metadata first (pid- then tid-sorted),
 //! then spans in recording order — so the bytes are reproducible and
 //! CI can diff traces across thread counts.
@@ -16,6 +17,7 @@
 //! [Trace Event Format]: https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
 //! [ui.perfetto.dev]: https://ui.perfetto.dev
 
+use crate::json::escape;
 use crate::{MemSample, Span, SpanKind, Stage};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -57,21 +59,6 @@ pub fn track_name(stage: Stage, sc: u8) -> String {
     } else {
         stage.name().to_string()
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 fn push_meta(out: &mut String, name: &str, pid: u32, tid: u32, value: &str) {

@@ -11,11 +11,12 @@
 //! the event stream's bit-identity across thread counts and memoized
 //! vs fresh execution (pinned by `tests/obs_rollup.rs`).
 //!
-//! The hand-rolled JSON round-trip ([`ObsRollup::to_json`] /
-//! [`ObsRollup::parse`]) is what the sweep journal embeds as each
-//! record's `obs` object; it deliberately contains no nested `{}` so
-//! journal parsers can slice the object out with a single brace scan.
+//! The JSON round-trip ([`ObsRollup::to_json`] / [`ObsRollup::parse`])
+//! is what the sweep journal embeds as each record's `obs` object; a
+//! journal reader takes that object off its parsed line and converts
+//! it with [`FromJson`].
 
+use crate::json::{self, FromJson, Json};
 use crate::{Event, Probe, SpanKind, Stage};
 
 /// Number of (stage, SC) units: two serial front-end units plus three
@@ -114,25 +115,6 @@ impl StallRollup {
         s.push(']');
         s
     }
-
-    fn parse(body: &str) -> Option<Self> {
-        let body = body.trim().strip_prefix('[')?.strip_suffix(']')?;
-        let mut units = [[0u64; 3]; UNIT_COUNT];
-        let mut count = 0usize;
-        for (i, triple) in body.split("],").enumerate() {
-            let triple = triple.trim().trim_start_matches('[').trim_end_matches(']');
-            let mut vals = triple.split(',');
-            let slot = units.get_mut(i)?;
-            for v in slot.iter_mut() {
-                *v = vals.next()?.trim().parse().ok()?;
-            }
-            if vals.next().is_some() {
-                return None;
-            }
-            count = i + 1;
-        }
-        (count == UNIT_COUNT).then_some(Self { units })
-    }
 }
 
 /// Which pass a [`RollupProbe`] is attached to.
@@ -204,8 +186,8 @@ impl ObsRollup {
         best
     }
 
-    /// Render the rollup as one compact JSON object (no nested braces,
-    /// no whitespace) — the journal's `obs` field.
+    /// Render the rollup as one compact JSON object (no whitespace) —
+    /// the journal's `obs` field.
     #[must_use]
     pub fn to_json(&self) -> String {
         format!(
@@ -226,53 +208,27 @@ impl ObsRollup {
     /// for truncated or corrupt input.
     #[must_use]
     pub fn parse(text: &str) -> Option<Self> {
-        let text = text.trim();
-        if !text.starts_with('{') || !text.ends_with('}') {
-            return None;
-        }
+        Self::from_json(&json::parse(text)?)
+    }
+}
+
+impl FromJson for ObsRollup {
+    fn from_json(value: &Json) -> Option<Self> {
         Some(Self {
-            coupled: StallRollup::parse(array_field(text, "coupled")?)?,
-            decoupled: StallRollup::parse(array_field(text, "decoupled")?)?,
-            l1_hits: num_field(text, "l1_hits")?,
-            l1_misses: num_field(text, "l1_misses")?,
-            l2_hits: num_field(text, "l2_hits")?,
-            l2_misses: num_field(text, "l2_misses")?,
-            dram_requests: num_field(text, "dram_requests")?,
-            dram_spikes: num_field(text, "dram_spikes")?,
+            coupled: StallRollup {
+                units: value.field("coupled")?,
+            },
+            decoupled: StallRollup {
+                units: value.field("decoupled")?,
+            },
+            l1_hits: value.field("l1_hits")?,
+            l1_misses: value.field("l1_misses")?,
+            l2_hits: value.field("l2_hits")?,
+            l2_misses: value.field("l2_misses")?,
+            dram_requests: value.field("dram_requests")?,
+            dram_spikes: value.field("dram_spikes")?,
         })
     }
-}
-
-/// Slice out a `"field":[[…]]` nested-array value (balanced-bracket
-/// scan; the rollup arrays nest exactly two deep).
-fn array_field<'a>(text: &'a str, field: &str) -> Option<&'a str> {
-    let tag = format!("\"{field}\":[");
-    let start = text.find(&tag)? + tag.len() - 1;
-    let mut depth = 0usize;
-    for (i, c) in text[start..].char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&text[start..=start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extract an unsigned integer field from the rollup document.
-fn num_field(text: &str, field: &str) -> Option<u64> {
-    let tag = format!("\"{field}\":");
-    let start = text.find(&tag)? + tag.len();
-    let digits: String = text[start..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// A [`Probe`] that folds events into an [`ObsRollup`] — O(1) state,
@@ -400,8 +356,7 @@ mod tests {
         let r = sample_rollup();
         let json = r.to_json();
         assert!(!json.contains(' '), "compact form");
-        // No nested braces: journal parsers slice the object with a
-        // single brace scan.
+        // One object holding two arrays of unit triples.
         assert_eq!(json.matches('{').count(), 1);
         assert_eq!(json.matches('}').count(), 1);
         let parsed = ObsRollup::parse(&json).expect("parse own rendering");

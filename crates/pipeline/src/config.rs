@@ -3,10 +3,9 @@
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use dtexl_mem::{CacheConfig, TextureHierarchyConfig};
-use serde::{Deserialize, Serialize};
 
 /// Barrier organization of the last three raster stages.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BarrierMode {
     /// Baseline (Fig. 4): Early-Z, Fragment and Blend each process one
     /// tile at a time; all four units synchronize at tile boundaries.
@@ -29,7 +28,7 @@ pub enum BarrierMode {
 ///
 /// Defaults reproduce Table II: 600 MHz, 32×32 tiles, 4 SCs with 16 KiB
 /// private texture L1s, 1 MiB shared L2, 50–100-cycle DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PipelineConfig {
     /// Tile side in pixels (Table II: 32): even, at most 512.
     pub tile_size: u32,

@@ -30,10 +30,9 @@
 //!   memory budget watchdog; it does not change any simulated metric.
 
 use crate::timing::StageDurations;
-use serde::{Deserialize, Serialize};
 
 /// Stall one SC lane's fragment stage for a number of cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneStall {
     /// The shader-core lane to stall (0..num_sc).
     pub lane: usize,
@@ -43,7 +42,7 @@ pub struct LaneStall {
 }
 
 /// Periodic DRAM latency spikes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramSpike {
     /// Every `period`-th fill request is spiked (must be ≥ 1).
     pub period: u64,
@@ -52,7 +51,7 @@ pub struct DramSpike {
 }
 
 /// A deterministic, seeded fault-injection plan (off by default).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FaultPlan {
     /// Seed selecting *where* faults land (e.g. which tile a lane
     /// stall hits).

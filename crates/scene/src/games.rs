@@ -2,10 +2,9 @@
 
 use crate::gen::{self, GenParams};
 use crate::scene::{Scene, SceneSpec};
-use serde::{Deserialize, Serialize};
 
 /// Game genre (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Genre {
     /// Match-three and falling-block puzzles.
     Puzzle,
@@ -20,7 +19,7 @@ pub enum Genre {
 }
 
 /// Static description of a benchmark (the Table I row).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GameInfo {
     /// Full title.
     pub title: &'static str,
@@ -37,7 +36,7 @@ pub struct GameInfo {
 }
 
 /// The ten benchmark games (Table I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Game {
     /// Candy Crush Saga — 2D puzzle, 2.4 MiB textures.
     CandyCrush,

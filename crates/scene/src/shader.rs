@@ -1,7 +1,6 @@
 //! Fragment-shader cost profiles.
 
 use dtexl_texture::Filter;
-use serde::{Deserialize, Serialize};
 
 /// Cost profile of a draw call's fragment shader.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// which may stall the warp) it performs. Adjacent quads of the same
 /// primitive share the profile, which is exactly the workload-intensity
 /// correlation that makes coarse-grained grouping imbalanced (Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShaderProfile {
     /// ALU instructions executed per quad (includes interpolation
     /// setup, lighting math, etc.).
@@ -19,7 +18,6 @@ pub struct ShaderProfile {
     /// Texture sample instructions per fragment.
     pub tex_samples: u32,
     /// Filtering mode of the samples.
-    #[serde(skip)]
     pub filter: Filter,
 }
 

@@ -1,14 +1,13 @@
 //! Subtile-to-shader-core assignments (Fig. 8).
 
 use crate::order::MoveDir;
-use serde::{Deserialize, Serialize};
 
 /// Spatial arrangement of the four subtile slots inside a tile.
 ///
 /// Flip assignments mirror the slot→SC mapping across the edge shared
 /// by consecutive tiles; what "mirroring" permutes depends on where the
 /// slots physically sit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotLayout {
     /// Slots are the four quadrants: 0 = top-left, 1 = top-right,
     /// 2 = bottom-left, 3 = bottom-right (CG-square, CG-tri and all FG
@@ -67,7 +66,7 @@ fn apply(map: [u8; 4], perm: [usize; 4]) -> [u8; 4] {
 }
 
 /// The subtile assignment policy of Fig. 8.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum AssignMode {
     /// `*-const`: slot *i* always goes to SC *i* (Fig. 8(a), (c), (g)).
     Const,

@@ -1,7 +1,5 @@
 //! Quad groupings (Fig. 6): mapping quads inside a tile to subtiles.
 
-use serde::{Deserialize, Serialize};
-
 /// The static mapping from a quad's position within a tile to one of the
 /// four subtile slots (and hence, via the subtile assignment, to a
 /// shader core).
@@ -13,7 +11,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Coordinates below are quad coordinates inside the tile
 /// (`0..quads_w`, `0..quads_h`; 16×16 for a 32×32-pixel tile).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum QuadGrouping {
     /// Fig. 6(a): 2×2 checker — `(qx%2) + 2*(qy%2)`. No two adjacent
     /// (even diagonally adjacent) quads share a slot.

@@ -1,14 +1,12 @@
 //! Tile traversal orders (Fig. 7).
 
-use serde::{Deserialize, Serialize};
-
 /// The order in which the tile fetcher feeds tiles to the raster
 /// pipeline.
 ///
 /// Tiles are independent, so any permutation is legal; the order decides
 /// how much edge-sharing locality consecutive tiles expose to the L1
 /// texture caches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TileOrder {
     /// Row-major, every row left→right.
     Scanline,

@@ -5,7 +5,6 @@ use crate::assign::AssignMode;
 use crate::grouping::QuadGrouping;
 use crate::order::TileOrder;
 use crate::schedule::ScheduleConfig;
-use serde::{Deserialize, Serialize};
 
 /// The eight subtile mappings of Fig. 16, plus the fine-grained
 /// baseline.
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// | `HilbertFlip3` | CG-square | Hilbert | flp3 |
 /// | `SorderConst` | CG-yrect | S-order | const |
 /// | `SorderFlip` | CG-yrect | S-order | flp1 |
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamedMapping {
     /// FG-xshift2 + Z-order + const: the load-balancing baseline.
     Baseline,

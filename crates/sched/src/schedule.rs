@@ -3,12 +3,11 @@
 use crate::assign::{AssignMode, SubtileAssigner};
 use crate::grouping::QuadGrouping;
 use crate::order::{MoveDir, TileOrder};
-use serde::{Deserialize, Serialize};
 
 /// Complete description of a workload schedule: which quads form
 /// subtiles, in which order tiles are processed, and which shader core
 /// each subtile goes to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ScheduleConfig {
     /// Quad → subtile-slot mapping inside each tile.
     pub grouping: QuadGrouping,

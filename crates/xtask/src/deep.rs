@@ -19,7 +19,7 @@ use crate::budgets;
 use crate::graph::Graph;
 use crate::parse::{parse_file, ParsedFile};
 use crate::report::{json_str, Violation};
-use crate::rules::{classify, FileClass};
+use crate::rules::FileClass;
 use crate::surface;
 use crate::taint;
 use crate::walk;
@@ -204,11 +204,9 @@ impl DeepReport {
 pub fn parse_root(root: &Path) -> io::Result<(Vec<ParsedFile>, Vec<bool>)> {
     let mut files = Vec::new();
     let mut test_flags = Vec::new();
-    for (rel, path) in walk::rust_sources(root)? {
-        let source = fs::read_to_string(&path)
-            .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))?;
-        let whole_test = classify(&rel) == FileClass::Test;
-        files.push(parse_file(&rel, &source, whole_test));
+    for src in walk::sources(root)? {
+        let whole_test = src.class == FileClass::Test;
+        files.push(parse_file(&src.rel, &src.text, whole_test));
         test_flags.push(whole_test);
     }
     Ok((files, test_flags))
@@ -241,8 +239,8 @@ pub fn deep_lint_root(root: &Path, opts: &DeepOptions) -> io::Result<DeepReport>
     }
 
     // Pass 2: unsafe audit.
-    for pf in &files {
-        if classify(&pf.rel) == FileClass::Test {
+    for (pf, &whole_test) in files.iter().zip(&test_flags) {
+        if whole_test {
             continue;
         }
         for u in &pf.unsafe_sites {

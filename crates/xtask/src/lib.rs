@@ -48,11 +48,9 @@ use std::path::Path;
 /// Propagates filesystem errors (unreadable tree or file).
 pub fn scan_root(root: &Path) -> io::Result<Report> {
     let mut report = Report::default();
-    for (rel, path) in walk::rust_sources(root)? {
-        let source = fs::read_to_string(&path)
-            .map_err(|e| io::Error::other(format!("{}: {e}", path.display())))?;
-        let outcome = rules::check_file(&rel, &source);
-        report.absorb(&rel, outcome.findings, outcome.allowed);
+    for src in walk::sources(root)? {
+        let outcome = rules::check_file(&src.rel, src.class, &src.text);
+        report.absorb(&src.rel, outcome.findings, outcome.allowed);
     }
     Ok(report)
 }

@@ -1,7 +1,7 @@
 //! Aggregated lint report with text and JSON rendering.
 //!
-//! JSON is hand-rolled (the vendored `serde` stand-in does not
-//! serialize) and shaped for CI consumption:
+//! JSON is hand-rolled (xtask has no dependencies) and shaped for CI
+//! consumption:
 //!
 //! ```json
 //! {

@@ -299,10 +299,10 @@ fn builtin_allow(rel: &str, rule: &str, line: &str) -> Option<&'static BuiltinAl
 }
 
 /// Check one file. `rel` is the workspace-relative path with forward
-/// slashes; `source` its full text.
+/// slashes, `class` its [`crate::walk::sources`] class and `source` its
+/// full text.
 #[must_use]
-pub fn check_file(rel: &str, source: &str) -> FileOutcome {
-    let class = classify(rel);
+pub fn check_file(rel: &str, class: FileClass, source: &str) -> FileOutcome {
     let s = sanitize(source);
     let original: Vec<&str> = source.lines().collect();
     let snippet = |line: usize| -> String {
@@ -512,6 +512,10 @@ fn fn_exists(code_lines: &[String], name: &str) -> bool {
 mod tests {
     use super::*;
 
+    fn check(rel: &str, source: &str) -> FileOutcome {
+        check_file(rel, classify(rel), source)
+    }
+
     #[test]
     fn sim_lib_gets_determinism_rules() {
         assert_eq!(classify("crates/mem/src/lane.rs"), FileClass::SimLib);
@@ -527,14 +531,14 @@ mod tests {
     #[test]
     fn hashmap_in_sim_crate_is_flagged_and_allowable() {
         let src = "use std::collections::HashMap;\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "determinism-hash");
         assert_eq!(out.findings[0].line, 1);
 
         let src = "// lint: allow(determinism-hash) -- membership only, never iterated\n\
                    use std::collections::HashMap;\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.allowed.len(), 1);
         assert!(!out.allowed[0].builtin);
@@ -543,14 +547,14 @@ mod tests {
     #[test]
     fn unwrap_in_test_code_is_fine() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { x.unwrap(); }\n}\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }
 
     #[test]
     fn stale_allow_is_a_violation() {
         let src = "// lint: allow(no-panic) -- nothing here\nlet x = 1;\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "lint-annotation");
     }
@@ -558,12 +562,12 @@ mod tests {
     #[test]
     fn builtin_allowlist_covers_the_sweep_watchdog() {
         let src = "fn f() { let t = Instant::now(); }\n";
-        let out = check_file("crates/core/src/sweep.rs", src);
+        let out = check("crates/core/src/sweep.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.allowed.len(), 1);
         assert!(out.allowed[0].builtin);
         // The same code elsewhere in core is a violation.
-        let out = check_file("crates/core/src/sim.rs", src);
+        let out = check("crates/core/src/sim.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "determinism-clock");
     }
@@ -571,16 +575,16 @@ mod tests {
     #[test]
     fn should_panic_requires_named_existing_sibling() {
         let src = "#[should_panic]\nfn boom() {}\n";
-        let out = check_file("tests/x.rs", src);
+        let out = check("tests/x.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "typed-error-parity");
 
         let src = "// lint: typed-sibling(typed_twin)\n#[should_panic]\nfn boom() {}\nfn typed_twin() {}\n";
-        let out = check_file("tests/x.rs", src);
+        let out = check("tests/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
 
         let src = "// lint: typed-sibling(missing)\n#[should_panic]\nfn boom() {}\n";
-        let out = check_file("tests/x.rs", src);
+        let out = check("tests/x.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert!(out.findings[0].hint.contains("missing"));
     }
@@ -588,10 +592,10 @@ mod tests {
     #[test]
     fn patterns_respect_identifier_boundaries() {
         let src = "fn prefetch_from_entropy_pool() {}\nlet x = my_thread_rng_name;\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         let src = "let r = thread_rng();\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "determinism-rng");
     }
@@ -604,7 +608,7 @@ mod tests {
                    let m: HashMap<u32, f64> = HashMap::new();\n\
                    let total = m.values()\n\
                    .sum::<f64>();\n";
-        let out = check_file("crates/core/src/x.rs", src);
+        let out = check("crates/core/src/x.rs", src);
         assert_eq!(out.findings.len(), 1, "{:?}", out.findings);
         assert_eq!(out.findings[0].rule, "determinism-iter");
         assert_eq!(out.findings[0].line, 4);
@@ -614,7 +618,7 @@ mod tests {
                    let m: HashMap<u32, f64> = HashMap::new();\n\
                    // lint: allow(determinism-iter) -- sum of non-negative is order-checked\n\
                    let total = m.values().sum::<f64>();\n";
-        let out = check_file("crates/core/src/x.rs", src);
+        let out = check("crates/core/src/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         assert_eq!(out.allowed.len(), 2);
     }
@@ -625,7 +629,7 @@ mod tests {
         let src = "let total = samples.iter().copied().sum::<f64>();\n\
                    let t2: BTreeMap<u32, f64> = BTreeMap::new();\n\
                    let s2 = t2.values().sum::<f64>();\n";
-        let out = check_file("crates/core/src/x.rs", src);
+        let out = check("crates/core/src/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         // Beyond the three-line window the reduction is not tied to
         // the container (and test code is never scanned).
@@ -633,10 +637,10 @@ mod tests {
                    let m: HashSet<u32> = HashSet::new();\n\
                    let a = 1;\nlet b = 2;\nlet c = 3;\n\
                    let total = xs.iter().sum::<f64>();\n";
-        let out = check_file("crates/core/src/x.rs", src);
+        let out = check("crates/core/src/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
         let src = "#[cfg(test)]\nmod tests {\n    fn t() {\n        let m: HashMap<u32, f64> = HashMap::new();\n        let s = m.values().sum::<f64>();\n    }\n}\n";
-        let out = check_file("crates/core/src/x.rs", src);
+        let out = check("crates/core/src/x.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }
 
@@ -644,7 +648,7 @@ mod tests {
     fn obs_crate_is_a_sim_crate() {
         assert_eq!(classify("crates/obs/src/lib.rs"), FileClass::SimLib);
         let src = "let t = Instant::now();\n";
-        let out = check_file("crates/obs/src/lib.rs", src);
+        let out = check("crates/obs/src/lib.rs", src);
         assert_eq!(out.findings.len(), 1);
         assert_eq!(out.findings[0].rule, "determinism-clock");
     }
@@ -652,7 +656,7 @@ mod tests {
     #[test]
     fn unwrap_or_variants_are_not_flagged() {
         let src = "let x = y.unwrap_or(0).max(z.unwrap_or_default());\n";
-        let out = check_file("crates/mem/src/lib.rs", src);
+        let out = check("crates/mem/src/lib.rs", src);
         assert!(out.findings.is_empty(), "{:?}", out.findings);
     }
 }

@@ -6,6 +6,8 @@
 //! * the `barrier` fixture comes out taint-clean with the barrier
 //!   counted as used;
 //! * the `drift` fixture trips `api-surface` in both directions;
+//! * the `testmod` fixture's `#[cfg(test)] mod reference;` file stays
+//!   out of the surface lock and the library lints;
 //! * the real workspace is deep-lint clean (the acceptance gate CI
 //!   runs).
 
@@ -121,6 +123,23 @@ fn surface_drift_fails_in_both_directions_without_update() {
             .iter()
             .any(|v| v.snippet.contains("w: u32") && v.hint.contains("gone")),
         "the locked signature is missing: {drift:?}"
+    );
+}
+
+#[test]
+fn a_cfg_test_module_file_stays_out_of_the_surface_and_the_lints() {
+    let root = fixture("testmod");
+    let report = deep_lint_root(&root, &DeepOptions::default()).expect("deep-lint fixture");
+    assert!(
+        report.ok(),
+        "the lock names only the library fn:\n{}",
+        report.render_text()
+    );
+    let lint = xtask::lint_root(&root).expect("lint fixture");
+    assert!(
+        lint.violations.is_empty(),
+        "the reference's unwrap is test code: {:?}",
+        lint.violations
     );
 }
 
