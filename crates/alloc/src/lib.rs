@@ -1,10 +1,12 @@
 //! Counting global allocator with thread-tagged meters.
 //!
-//! The sweep engine (`dtexl::sweep`) enforces per-job *memory budgets*
-//! the same way it enforces wall-clock timeouts: every job runs on a
-//! disposable thread, and a watchdog on the dispatching worker observes
-//! the job from outside. This crate supplies the observation channel —
-//! a [`#[global_allocator]`](std::alloc::GlobalAlloc) wrapper around
+//! The sweep engine (`dtexl::sweep`) records every job's allocator
+//! peak and enforces per-job *memory budgets* the same way it enforces
+//! wall-clock timeouts: a job under a watchdog runs on a disposable
+//! thread, and the dispatching worker observes it from outside. An
+//! unwatched job runs on the worker itself, tagged for the attempt's
+//! duration only. This crate supplies the observation channel — a
+//! [`#[global_allocator]`](std::alloc::GlobalAlloc) wrapper around
 //! [`System`] that, when a thread is *tagged* with an [`AllocMeter`],
 //! charges that thread's allocations and frees to the meter.
 //!
@@ -147,8 +149,10 @@ impl Drop for MeterGuard {
 /// previous meter, whose guard becomes inert: it stops charging
 /// immediately and does not resume when the replacing guard drops
 /// (the thread simply becomes untagged once the guard owning the slot
-/// drops). The sweep engine tags each disposable job thread exactly
-/// once, at birth.
+/// drops). The sweep engine tags the thread that runs an attempt (the
+/// worker itself, or a disposable job thread when a watchdog is set)
+/// for that attempt only, so a thread that calls `run_sweep` must not
+/// be tagged itself: its first inline attempt would end its tag.
 #[must_use]
 pub fn meter_current_thread(meter: &Arc<AllocMeter>) -> MeterGuard {
     let owned = Arc::clone(meter);

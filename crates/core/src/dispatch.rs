@@ -2,9 +2,10 @@
 //! and `dtexl sweep dispatch`, which is the daemon on a pre-armed
 //! spool).
 //!
-//! [`run_sweep`](crate::sweep::run_sweep) already isolates jobs on
-//! disposable threads, but a panic that escapes isolation, an OOM
-//! kill, or a wedged process still takes the whole run down with it.
+//! [`run_sweep`](crate::sweep::run_sweep) already isolates jobs
+//! behind `catch_unwind` (and a watched job on a disposable thread),
+//! but a panic that escapes isolation, an OOM kill, or a wedged
+//! process still takes the whole run down with it.
 //! This module moves the fault boundary to the *process*: a supervisor
 //! spawns one child `dtexl sweep --spool DIR --shard i/N` per shard,
 //! tails each child's `--progress-to` JSONL stream, and drives a

@@ -4,9 +4,13 @@
 //! [`run_sweep`] executes a batch of [`SweepJob`]s on a worker pool
 //! with the robustness properties `docs/ROBUSTNESS.md` documents:
 //!
-//! * **Isolation** — each job runs on its own thread behind
-//!   [`std::panic::catch_unwind`]; a panicking or wedged job cannot
-//!   take down the sweep or corrupt its siblings' results.
+//! * **Isolation** — each attempt runs behind
+//!   [`std::panic::catch_unwind`], so a panicking job cannot take down
+//!   the sweep or corrupt its siblings' results. An unwatched attempt
+//!   runs on its worker thread; under a timeout, memory budget or
+//!   heartbeat it runs on a disposable thread of its own, so a wedged
+//!   job can be abandoned. The thread calling [`run_sweep`] is worker
+//!   0, so a one-worker sweep without a watchdog starts no thread.
 //! * **Timeouts** — an optional per-job watchdog
 //!   ([`SweepOptions::job_timeout`]) abandons jobs that exceed their
 //!   budget and reports them as [`JobError::TimedOut`].
@@ -36,8 +40,9 @@
 //!   the same key and config hash disagree on metrics); `--resume`
 //!   works against both per-shard and merged journals.
 //! * **Memory budgets** — [`SweepOptions::job_mem_budget`] bounds each
-//!   job's allocator high-water mark. Every job thread is tagged with
-//!   a [`dtexl_alloc::AllocMeter`]; the dispatching worker polls the
+//!   job's allocator high-water mark. The thread running an attempt
+//!   is tagged with a [`dtexl_alloc::AllocMeter`] for that attempt
+//!   only; the dispatching worker polls the
 //!   meter and abandons jobs that exceed the budget with a typed
 //!   [`JobError::MemBudget`] — journaled and resumable exactly like a
 //!   wall-clock timeout, but never retried (the same job at the same
@@ -699,7 +704,8 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Knobs for [`run_sweep`].
 #[derive(Debug, Clone)]
 pub struct SweepOptions {
-    /// Worker threads (0 = one per job, capped at 8).
+    /// Worker threads, the calling thread included (0 = one per job,
+    /// capped at 8).
     pub workers: usize,
     /// Finish every job and report failures at the end, instead of
     /// stopping dispatch at the first failure.
@@ -1150,23 +1156,12 @@ pub const MIB: f64 = 1024.0 * 1024.0;
 /// memory budget (or a timeout alongside one) is in force.
 const WATCHDOG_POLL: Duration = Duration::from_millis(5);
 
-/// Run one job attempt on a disposable thread: panics are caught, and
-/// the watchdogs abandon (detach) the thread once a wall-clock or
-/// memory budget is exhausted — it cannot block the sweep. The job
-/// thread is tagged with an [`AllocMeter`] for its whole life, so the
-/// returned peak covers the attempt whether or not a budget is set.
-///
-/// A budget overrun is detected two ways: the poll loop catches jobs
-/// mid-flight (so a wedged, over-budget job is abandoned promptly),
-/// and a final high-water check after completion catches spikes that
-/// came and went between polls — making the verdict deterministic for
-/// a given job and budget, independent of scheduler timing.
-///
-/// `heartbeat` is an optional `(interval, emit)` pair: while the
-/// attempt is in flight, `emit` is called with the live allocator
-/// high-water mark at least `interval` apart. It also turns the
-/// no-watchdog `(None, None)` wait from a blocking `recv` into a
-/// polled one so beats keep flowing.
+/// What an attempt's body returned, or the message of the panic it
+/// unwound with.
+type Caught<T> = Result<Result<T, SimError>, String>;
+
+/// Run one job attempt and return its outcome and allocator peak
+/// (see [`attempt`] for where it runs and how it is watched).
 fn run_attempt(
     job: SweepJob,
     timeout: Option<Duration>,
@@ -1175,19 +1170,8 @@ fn run_attempt(
     cache: Option<Arc<PrefixCache>>,
     with_obs: bool,
 ) -> (Result<(FrameResult, Option<ObsRollup>), JobError>, u64) {
-    // Belt and braces: callers already translate a zero interval into
-    // `None`, but a zero that slipped through would min-merge into the
-    // watchdog slice below and busy-loop it.
-    let heartbeat = heartbeat.filter(|(every, _)| !every.is_zero());
-    let meter = AllocMeter::new();
-    let (tx, rx) = std::sync::mpsc::channel();
-    let job_meter = Arc::clone(&meter);
-    std::thread::spawn(move || {
-        // Tag before any simulation work so every allocation of this
-        // disposable thread is charged to the job's meter (including a
-        // prefix build on a cache miss).
-        let _tag = meter_current_thread(&job_meter);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+    attempt(
+        move || {
             if with_obs {
                 job.simulate_rollup(cache.as_deref())
                     .map(|(result, rollup)| (result, Some(rollup)))
@@ -1195,20 +1179,100 @@ fn run_attempt(
                 job.simulate_with(cache.as_deref())
                     .map(|result| (result, None))
             }
-        }));
+        },
+        &AllocMeter::new(),
+        timeout,
+        mem_budget,
+        heartbeat,
+    )
+}
+
+/// Run one attempt of `body`, charged to `meter`, behind
+/// [`std::panic::catch_unwind`], and map its outcome to a
+/// [`JobError`]; returns the outcome and the meter's peak.
+///
+/// With no timeout, no memory budget and no heartbeat, nothing needs
+/// to watch the attempt, so it runs on the calling worker thread:
+/// tagged for the body's duration and untagged again afterwards, panic
+/// or not. Otherwise it runs on a disposable thread under [`watch`],
+/// because a watchdog can abandon only a job on a thread of its own.
+///
+/// Either way a completed attempt gets a final high-water check
+/// against the budget, which catches spikes that came and went
+/// between the watchdog's polls — so the verdict is deterministic for
+/// a given job and budget, independent of scheduler timing.
+fn attempt<T: Send + 'static>(
+    body: impl FnOnce() -> Result<T, SimError> + Send + 'static,
+    meter: &Arc<AllocMeter>,
+    timeout: Option<Duration>,
+    mem_budget: Option<u64>,
+    heartbeat: Option<(Duration, &dyn Fn(u64))>,
+) -> (Result<T, JobError>, u64) {
+    // Belt and braces: callers already translate a zero interval into
+    // `None`, but a zero that slipped through would min-merge into the
+    // watchdog slice and busy-loop it.
+    let heartbeat = heartbeat.filter(|(every, _)| !every.is_zero());
+    let caught = if timeout.is_none() && mem_budget.is_none() && heartbeat.is_none() {
+        metered(meter, body)
+    } else {
+        match watch(body, meter, timeout, mem_budget, heartbeat) {
+            Ok(caught) => caught,
+            Err((abandoned, peak)) => return (Err(abandoned), peak),
+        }
+    };
+    let peak = meter.peak_bytes();
+    let result = match caught {
+        Ok(Ok(value)) => match mem_budget {
+            Some(budget) if peak > budget => Err(JobError::MemBudget { used: peak, budget }),
+            _ => Ok(value),
+        },
+        Ok(Err(sim)) => Err(JobError::Invalid(sim)),
+        Err(panic_msg) => Err(JobError::Panicked(panic_msg)),
+    };
+    (result, peak)
+}
+
+/// Run `body` on the current thread, tagged with `meter` before any
+/// simulation work (so a prefix build on a cache miss is charged too)
+/// and catching a panic as its payload message. The tag drops before
+/// this returns, so the thread's later allocations charge nothing.
+fn metered<T>(meter: &Arc<AllocMeter>, body: impl FnOnce() -> Result<T, SimError>) -> Caught<T> {
+    let _tag = meter_current_thread(meter);
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).map_err(|payload| {
+        payload
+            .downcast_ref::<&str>()
+            .map(ToString::to_string)
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".into())
+    })
+}
+
+/// Run `body` through [`metered`] on a disposable thread while this
+/// thread watches it: the watchdogs abandon (detach) the job thread
+/// once a wall-clock or memory budget is exhausted, so it cannot block
+/// the sweep. Returns the attempt's outcome, or the abandoning error
+/// and the peak seen at that moment.
+///
+/// `heartbeat` is an optional `(interval, emit)` pair: while the
+/// attempt is in flight, `emit` is called with the live allocator
+/// high-water mark at least `interval` apart.
+fn watch<T: Send + 'static>(
+    body: impl FnOnce() -> Result<T, SimError> + Send + 'static,
+    meter: &Arc<AllocMeter>,
+    timeout: Option<Duration>,
+    mem_budget: Option<u64>,
+    heartbeat: Option<(Duration, &dyn Fn(u64))>,
+) -> Result<Caught<T>, (JobError, u64)> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let job_meter = Arc::clone(meter);
+    std::thread::spawn(move || {
         // The receiver may be gone (watchdog fired): ignore the send error.
-        let _ = tx.send(outcome.map_err(|payload| {
-            payload
-                .downcast_ref::<&str>()
-                .map(ToString::to_string)
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".into())
-        }));
+        let _ = tx.send(metered(&job_meter, body));
     });
 
     let started = Instant::now();
     let mut last_beat = Instant::now();
-    let outcome = loop {
+    loop {
         if let Some((every, emit)) = heartbeat {
             if last_beat.elapsed() >= every {
                 emit(meter.peak_bytes());
@@ -1218,7 +1282,7 @@ fn run_attempt(
         if let Some(budget) = mem_budget {
             let used = meter.peak_bytes();
             if used > budget {
-                return (Err(JobError::MemBudget { used, budget }), used);
+                return Err((JobError::MemBudget { used, budget }, used));
             }
         }
         // Wait until the next beat is due; the floor keeps a
@@ -1232,7 +1296,7 @@ fn run_attempt(
             (Some(t), budget) => {
                 let elapsed = started.elapsed();
                 if elapsed >= t {
-                    return (Err(JobError::TimedOut { after: t }), meter.peak_bytes());
+                    return Err((JobError::TimedOut { after: t }, meter.peak_bytes()));
                 }
                 let remaining = t - elapsed;
                 // Poll the meter only when a budget is in force; a
@@ -1245,44 +1309,30 @@ fn run_attempt(
                 }
             }
             (None, Some(_)) => Some(WATCHDOG_POLL),
-            // No watchdog: block on the channel — unless beats must
-            // keep flowing, in which case wake for each one.
+            // Only beats are due: wake for each one.
             (None, None) => None,
         };
         let slice = match (slice, beat_slice) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let Some(slice) = slice else {
-            match rx.recv() {
-                Ok(v) => break v,
-                Err(_) => {
-                    break Err("job thread died without reporting".into());
-                }
-            }
+            (Some(a), Some(b)) => a.min(b),
+            (a, b) => a.or(b).unwrap_or(WATCHDOG_POLL),
         };
         match rx.recv_timeout(slice) {
-            Ok(v) => break v,
+            Ok(caught) => return Ok(caught),
             Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {}
             Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
-                break Err("job thread died without reporting".into());
+                return Ok(Err("job thread died without reporting".into()));
             }
         }
-    };
-    let peak = meter.peak_bytes();
-    let result = match outcome {
-        Ok(Ok(result)) => match mem_budget {
-            Some(budget) if peak > budget => Err(JobError::MemBudget { used: peak, budget }),
-            _ => Ok(result),
-        },
-        Ok(Err(sim)) => Err(JobError::Invalid(sim)),
-        Err(panic_msg) => Err(JobError::Panicked(panic_msg)),
-    };
-    (result, peak)
+    }
 }
 
 /// Execute `jobs` with isolation, retries and journaling; `on_ok` is
 /// invoked (from worker threads) with each successful result.
+///
+/// The calling thread is worker 0 and runs unwatched attempts itself,
+/// tagged with each job's [`AllocMeter`]. Tags do not nest, so the
+/// caller must not be metered: its first such attempt would end the
+/// caller's own tag.
 ///
 /// # Errors
 ///
@@ -1332,233 +1382,237 @@ where
         opts.workers.clamp(1, jobs.len().max(1))
     };
 
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                if !opts.keep_going && abort.load(Ordering::Relaxed) {
-                    break;
-                }
-                let index = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(index).copied() else {
-                    break;
-                };
-                let key = job.key();
-                // Out-of-shard jobs belong to another machine's run:
-                // no record, no journal line.
-                if opts.shard.is_some_and(|s| !s.contains(&key)) {
-                    continue;
-                }
-                let config_hash = job.config_hash();
-                let emit_obs = |kind, attempt, elapsed, peak, status, obs: Option<(&str, u64)>| {
-                    if let Some(f) = opts.progress {
-                        f(&Progress {
-                            kind,
-                            key: key.clone(),
-                            index,
-                            attempt,
-                            elapsed,
-                            peak_alloc_bytes: peak,
-                            shard: opts.shard,
-                            pid,
-                            // Assigned at emit time so the stream's
-                            // sequence numbers are gap-free even with
-                            // events interleaving across workers.
-                            seq: seq.fetch_add(1, Ordering::Relaxed),
-                            status,
-                            top_stall: obs.map(|(top, _)| top.to_string()),
-                            dram_requests: obs.map(|(_, dram)| dram),
-                            config_hash,
-                        });
-                    }
-                };
-                let emit = |kind, attempt, elapsed, peak, status| {
-                    emit_obs(kind, attempt, elapsed, peak, status, None);
-                };
-                emit(ProgressKind::Start, 0, Duration::ZERO, 0, None);
-                // Resume refuses to skip when the journaled config
-                // hash differs from the job's: the old result was
-                // produced by a different simulator configuration.
-                // Pre-v2 lines carry no hash and stay skippable.
-                let hash_matches = |h: &Option<u64>| h.is_none_or(|h| h == config_hash);
-                if done_keys.get(&key).is_some_and(hash_matches) {
-                    emit(
-                        ProgressKind::Done,
-                        0,
-                        Duration::ZERO,
-                        0,
-                        Some(JobStatus::Skipped),
-                    );
-                    let record = JobRecord {
-                        index,
-                        key,
-                        status: JobStatus::Skipped,
-                        attempts: 0,
-                        elapsed: Duration::ZERO,
-                        error: None,
-                        metrics: None,
-                        config_hash,
-                        peak_alloc: None,
-                        shard: opts.shard,
-                        obs: None,
-                    };
-                    lock(&records).push(record);
-                    continue;
-                }
-                // Poison quarantine: the fleet supervisor journaled
-                // this job as having killed its shard repeatedly.
-                // Record the failure without executing — and without
-                // tripping the abort flag (the failure is historical,
-                // already accounted; the restarted shard's purpose is
-                // to get *past* it) or re-journaling (the supervisor's
-                // line is already the key's latest entry).
-                if let Some(entry) = quarantined
-                    .get(&key)
-                    .filter(|e| hash_matches(&e.config_hash))
-                {
-                    let deaths = u32::try_from(entry.attempts).unwrap_or(u32::MAX);
-                    emit(
-                        ProgressKind::Done,
-                        deaths,
-                        Duration::ZERO,
-                        0,
-                        Some(JobStatus::Failed),
-                    );
-                    lock(&records).push(JobRecord {
-                        index,
-                        key,
-                        status: JobStatus::Failed,
-                        attempts: deaths,
-                        elapsed: Duration::ZERO,
-                        error: Some(JobError::Poisoned { deaths }),
-                        metrics: None,
-                        config_hash,
-                        peak_alloc: None,
-                        shard: opts.shard,
-                        obs: None,
-                    });
-                    continue;
-                }
+    let worker = || loop {
+        if !opts.keep_going && abort.load(Ordering::Relaxed) {
+            break;
+        }
+        let index = next.fetch_add(1, Ordering::Relaxed);
+        let Some(job) = jobs.get(index).copied() else {
+            break;
+        };
+        let key = job.key();
+        // Out-of-shard jobs belong to another machine's run:
+        // no record, no journal line.
+        if opts.shard.is_some_and(|s| !s.contains(&key)) {
+            continue;
+        }
+        let config_hash = job.config_hash();
+        let emit_obs = |kind, attempt, elapsed, peak, status, obs: Option<(&str, u64)>| {
+            if let Some(f) = opts.progress {
+                f(&Progress {
+                    kind,
+                    key: key.clone(),
+                    index,
+                    attempt,
+                    elapsed,
+                    peak_alloc_bytes: peak,
+                    shard: opts.shard,
+                    pid,
+                    // Assigned at emit time so the stream's
+                    // sequence numbers are gap-free even with
+                    // events interleaving across workers.
+                    seq: seq.fetch_add(1, Ordering::Relaxed),
+                    status,
+                    top_stall: obs.map(|(top, _)| top.to_string()),
+                    dram_requests: obs.map(|(_, dram)| dram),
+                    config_hash,
+                });
+            }
+        };
+        let emit = |kind, attempt, elapsed, peak, status| {
+            emit_obs(kind, attempt, elapsed, peak, status, None);
+        };
+        emit(ProgressKind::Start, 0, Duration::ZERO, 0, None);
+        // Resume refuses to skip when the journaled config
+        // hash differs from the job's: the old result was
+        // produced by a different simulator configuration.
+        // Pre-v2 lines carry no hash and stay skippable.
+        let hash_matches = |h: &Option<u64>| h.is_none_or(|h| h == config_hash);
+        if done_keys.get(&key).is_some_and(hash_matches) {
+            emit(
+                ProgressKind::Done,
+                0,
+                Duration::ZERO,
+                0,
+                Some(JobStatus::Skipped),
+            );
+            let record = JobRecord {
+                index,
+                key,
+                status: JobStatus::Skipped,
+                attempts: 0,
+                elapsed: Duration::ZERO,
+                error: None,
+                metrics: None,
+                config_hash,
+                peak_alloc: None,
+                shard: opts.shard,
+                obs: None,
+            };
+            lock(&records).push(record);
+            continue;
+        }
+        // Poison quarantine: the fleet supervisor journaled
+        // this job as having killed its shard repeatedly.
+        // Record the failure without executing — and without
+        // tripping the abort flag (the failure is historical,
+        // already accounted; the restarted shard's purpose is
+        // to get *past* it) or re-journaling (the supervisor's
+        // line is already the key's latest entry).
+        if let Some(entry) = quarantined
+            .get(&key)
+            .filter(|e| hash_matches(&e.config_hash))
+        {
+            let deaths = u32::try_from(entry.attempts).unwrap_or(u32::MAX);
+            emit(
+                ProgressKind::Done,
+                deaths,
+                Duration::ZERO,
+                0,
+                Some(JobStatus::Failed),
+            );
+            lock(&records).push(JobRecord {
+                index,
+                key,
+                status: JobStatus::Failed,
+                attempts: deaths,
+                elapsed: Duration::ZERO,
+                error: Some(JobError::Poisoned { deaths }),
+                metrics: None,
+                config_hash,
+                peak_alloc: None,
+                shard: opts.shard,
+                obs: None,
+            });
+            continue;
+        }
 
-                let started = Instant::now();
-                let mut attempts = 0u32;
-                let mut peak_alloc = 0u64;
-                let outcome = loop {
-                    attempts += 1;
+        let started = Instant::now();
+        let mut attempts = 0u32;
+        let mut peak_alloc = 0u64;
+        let outcome = loop {
+            attempts += 1;
+            emit(
+                ProgressKind::Attempt,
+                attempts,
+                started.elapsed(),
+                peak_alloc,
+                None,
+            );
+            let beat = |peak: u64| {
+                emit(
+                    ProgressKind::Heartbeat,
+                    attempts,
+                    started.elapsed(),
+                    peak,
+                    None,
+                )
+            };
+            // A zero interval means "no heartbeats", not "as
+            // fast as possible": leave the pair unset so the
+            // watchdog below blocks instead of busy-looping.
+            let heartbeat = opts
+                .progress
+                .filter(|_| !opts.progress_heartbeat.is_zero())
+                .map(|_| (opts.progress_heartbeat, &beat as &dyn Fn(u64)));
+            let (attempt, peak) = run_attempt(
+                job,
+                opts.job_timeout,
+                opts.job_mem_budget,
+                heartbeat,
+                opts.prefix_cache.clone(),
+                opts.with_obs,
+            );
+            peak_alloc = peak_alloc.max(peak);
+            match attempt {
+                Ok(result) => break Ok(result),
+                Err(e) => {
+                    if !e.retryable() || attempts > opts.retry.max_retries {
+                        break Err(e);
+                    }
                     emit(
-                        ProgressKind::Attempt,
+                        ProgressKind::Retry,
                         attempts,
                         started.elapsed(),
                         peak_alloc,
                         None,
                     );
-                    let beat = |peak: u64| {
-                        emit(
-                            ProgressKind::Heartbeat,
-                            attempts,
-                            started.elapsed(),
-                            peak,
-                            None,
-                        )
-                    };
-                    // A zero interval means "no heartbeats", not "as
-                    // fast as possible": leave the pair unset so the
-                    // watchdog below blocks instead of busy-looping.
-                    let heartbeat = opts
-                        .progress
-                        .filter(|_| !opts.progress_heartbeat.is_zero())
-                        .map(|_| (opts.progress_heartbeat, &beat as &dyn Fn(u64)));
-                    let (attempt, peak) = run_attempt(
-                        job,
-                        opts.job_timeout,
-                        opts.job_mem_budget,
-                        heartbeat,
-                        opts.prefix_cache.clone(),
-                        opts.with_obs,
-                    );
-                    peak_alloc = peak_alloc.max(peak);
-                    match attempt {
-                        Ok(result) => break Ok(result),
-                        Err(e) => {
-                            if !e.retryable() || attempts > opts.retry.max_retries {
-                                break Err(e);
-                            }
-                            emit(
-                                ProgressKind::Retry,
-                                attempts,
-                                started.elapsed(),
-                                peak_alloc,
-                                None,
-                            );
-                            (opts.sleeper)(opts.retry.delay(attempts, fnv1a(key.as_bytes())));
-                        }
-                    }
-                };
-                let elapsed = started.elapsed();
-                let terminal = if outcome.is_ok() {
-                    JobStatus::Ok
-                } else {
-                    JobStatus::Failed
-                };
-                // Done events of rollup-probed jobs carry the headline
-                // stall attribution inline.
-                let done_obs = outcome.as_ref().ok().and_then(|(_, rollup)| {
-                    rollup.as_ref().map(|r| (r.top_stall().0, r.dram_requests))
-                });
-                emit_obs(
-                    ProgressKind::Done,
+                    (opts.sleeper)(opts.retry.delay(attempts, fnv1a(key.as_bytes())));
+                }
+            }
+        };
+        let elapsed = started.elapsed();
+        let terminal = if outcome.is_ok() {
+            JobStatus::Ok
+        } else {
+            JobStatus::Failed
+        };
+        // Done events of rollup-probed jobs carry the headline
+        // stall attribution inline.
+        let done_obs = outcome
+            .as_ref()
+            .ok()
+            .and_then(|(_, rollup)| rollup.as_ref().map(|r| (r.top_stall().0, r.dram_requests)));
+        emit_obs(
+            ProgressKind::Done,
+            attempts,
+            elapsed,
+            peak_alloc,
+            Some(terminal),
+            done_obs,
+        );
+
+        let record = match outcome {
+            Ok((result, rollup)) => {
+                let metrics = JobMetrics::of(&result);
+                on_ok(&job, result);
+                JobRecord {
+                    index,
+                    key,
+                    status: JobStatus::Ok,
                     attempts,
                     elapsed,
-                    peak_alloc,
-                    Some(terminal),
-                    done_obs,
-                );
-
-                let record = match outcome {
-                    Ok((result, rollup)) => {
-                        let metrics = JobMetrics::of(&result);
-                        on_ok(&job, result);
-                        JobRecord {
-                            index,
-                            key,
-                            status: JobStatus::Ok,
-                            attempts,
-                            elapsed,
-                            error: None,
-                            metrics: Some(metrics),
-                            config_hash,
-                            peak_alloc: Some(peak_alloc),
-                            shard: opts.shard,
-                            obs: rollup,
-                        }
-                    }
-                    Err(e) => {
-                        abort.store(true, Ordering::Relaxed);
-                        JobRecord {
-                            index,
-                            key,
-                            status: JobStatus::Failed,
-                            attempts,
-                            elapsed,
-                            error: Some(e),
-                            metrics: None,
-                            config_hash,
-                            peak_alloc: Some(peak_alloc),
-                            shard: opts.shard,
-                            obs: None,
-                        }
-                    }
-                };
-                if let Some(j) = &journal {
-                    let line = journal_line(&record);
-                    let mut file = lock(j);
-                    // Journal write failures must not kill the sweep;
-                    // the in-memory report stays authoritative.
-                    let _ = writeln!(file, "{line}");
-                    let _ = file.flush();
+                    error: None,
+                    metrics: Some(metrics),
+                    config_hash,
+                    peak_alloc: Some(peak_alloc),
+                    shard: opts.shard,
+                    obs: rollup,
                 }
-                lock(&records).push(record);
-            });
+            }
+            Err(e) => {
+                abort.store(true, Ordering::Relaxed);
+                JobRecord {
+                    index,
+                    key,
+                    status: JobStatus::Failed,
+                    attempts,
+                    elapsed,
+                    error: Some(e),
+                    metrics: None,
+                    config_hash,
+                    peak_alloc: Some(peak_alloc),
+                    shard: opts.shard,
+                    obs: None,
+                }
+            }
+        };
+        if let Some(j) = &journal {
+            let line = journal_line(&record);
+            let mut file = lock(j);
+            // Journal write failures must not kill the sweep;
+            // the in-memory report stays authoritative.
+            let _ = writeln!(file, "{line}");
+            let _ = file.flush();
         }
+        lock(&records).push(record);
+    };
+    // The calling thread is worker 0, so `workers: 1` starts no thread.
+    std::thread::scope(|scope| {
+        for _ in 1..workers {
+            scope.spawn(worker);
+        }
+        worker();
     });
 
     let mut records = records.into_inner().unwrap_or_else(PoisonError::into_inner);
@@ -2533,6 +2587,34 @@ mod tests {
         assert_eq!(r.status, JobStatus::Failed);
         assert_eq!(r.attempts, 2, "timeout consumed the one retry");
         assert!(matches!(r.error, Some(JobError::TimedOut { .. })));
+    }
+
+    #[test]
+    fn panics_are_isolated_inline_and_on_a_watched_thread() {
+        // `None` runs the attempt on this thread; a timeout forces the
+        // disposable job thread.
+        for timeout in [None, Some(Duration::from_secs(600))] {
+            let meter = AllocMeter::new();
+            let body = || -> Result<u64, SimError> { panic!("job {} blew up", 7) };
+            let (result, _) = attempt(body, &meter, timeout, None, None);
+            assert_eq!(
+                result,
+                Err(JobError::Panicked("job 7 blew up".into())),
+                "timeout {timeout:?}"
+            );
+            // This thread is untagged again: its allocations no longer
+            // charge the panicked job's meter.
+            let total = meter.total_bytes();
+            std::hint::black_box(vec![0u8; 1 << 16]);
+            assert_eq!(meter.total_bytes(), total, "timeout {timeout:?}");
+            // The next job runs and is charged to its own meter.
+            let next = AllocMeter::new();
+            let body = || Ok(std::hint::black_box(vec![1u8; 1 << 16]).len());
+            let (result, peak) = attempt(body, &next, timeout, None, None);
+            assert_eq!(result, Ok(1 << 16), "timeout {timeout:?}");
+            assert!(peak >= 1 << 16, "timeout {timeout:?}: peak {peak}");
+            assert_eq!(meter.total_bytes(), total, "timeout {timeout:?}");
+        }
     }
 
     #[test]

@@ -38,11 +38,9 @@ impl Json {
 }
 
 /// A type read from a [`Json`] value; `None` on a shape mismatch.
-pub trait FromJson {
+pub trait FromJson: Sized {
     /// Convert `value`.
-    fn from_json(value: &Json) -> Option<Self>
-    where
-        Self: Sized;
+    fn from_json(value: &Json) -> Option<Self>;
 }
 
 macro_rules! from_variant {

@@ -379,10 +379,6 @@ pub fn parse_file(rel: &str, source: &str, whole_file_is_test: bool) -> ParsedFi
                 let was_unsafe = pending_unsafe.take();
                 let is_impl = w == "impl";
                 let start_line = toks[i].line;
-                if pending_pub && !is_impl && !is_test_line(start_line) {
-                    // `pub trait Name` joins the surface; grab the name
-                    // lazily below once parsed.
-                }
                 let keep_pub = pending_pub && !is_impl;
                 pending_pub = false;
                 i += 1;
@@ -680,20 +676,26 @@ fn surface_text(f: &FnItem) -> String {
     }
 }
 
-/// The self type an `impl`/`trait` header names: the last identifier
-/// at angle-depth 0 of the `for` part (or the whole header when there
-/// is no `for`), keywords and lifetimes skipped.
+/// The type an `impl`/`trait` header names. A trait is the identifier
+/// right after `trait`, so its generics, supertraits and `where`
+/// clause cannot displace it. An impl's self type is the last
+/// identifier at angle-depth 0 of the `for` part (or the whole header
+/// when there is no `for`), keywords and lifetimes skipped.
 fn self_type_of(header: &[Token], is_impl: bool) -> Option<String> {
+    if !is_impl {
+        return match &header.first()?.tok {
+            Tok::Ident(name) => Some(name.clone()),
+            _ => None,
+        };
+    }
     let mut slice_start = 0usize;
-    if is_impl {
-        let mut angle = 0i64;
-        for (k, t) in header.iter().enumerate() {
-            match &t.tok {
-                Tok::Punct('<') => angle += 1,
-                Tok::Punct('>') => angle -= 1,
-                Tok::Ident(w) if w == "for" && angle == 0 => slice_start = k + 1,
-                _ => {}
-            }
+    let mut angle = 0i64;
+    for (k, t) in header.iter().enumerate() {
+        match &t.tok {
+            Tok::Punct('<') => angle += 1,
+            Tok::Punct('>') => angle -= 1,
+            Tok::Ident(w) if w == "for" && angle == 0 => slice_start = k + 1,
+            _ => {}
         }
     }
     let mut angle = 0i64;
@@ -710,7 +712,7 @@ fn self_type_of(header: &[Token], is_impl: bool) -> Option<String> {
             }
             _ => {}
         }
-        if is_impl && angle == 0 && matches!(t.tok, Tok::Punct('{')) {
+        if angle == 0 && matches!(t.tok, Tok::Punct('{')) {
             break;
         }
     }
@@ -913,6 +915,27 @@ mod tests {
         assert_eq!(self_type_of(&toks, true).as_deref(), Some("Vec"));
         let toks = tokenize(&["FrameSim".to_string()]);
         assert_eq!(self_type_of(&toks, true).as_deref(), Some("FrameSim"));
+    }
+
+    #[test]
+    fn trait_headers_name_the_trait_not_a_bound() {
+        let src = "pub trait FromJson: Sized {\n\
+                       fn from_json(v: &Json) -> Option<Self>;\n\
+                   }\n\
+                   pub trait Sink<T: Clone + Send, const N: usize>: Probe + Send {\n\
+                       fn put(&mut self, t: T);\n\
+                   }\n\
+                   pub trait Folded<T> where T: Iterator<Item = u8>, Self: Sized {\n\
+                       fn fold(t: T) -> Self;\n\
+                   }\n";
+        let p = parse_file("crates/obs/src/json.rs", src, false);
+        let items: Vec<&str> = p.pub_items.iter().map(|it| it.text.as_str()).collect();
+        assert_eq!(
+            items,
+            ["pub trait FromJson", "pub trait Sink", "pub trait Folded"]
+        );
+        let types: Vec<Option<&str>> = p.fns.iter().map(|f| f.impl_type.as_deref()).collect();
+        assert_eq!(types, [Some("FromJson"), Some("Sink"), Some("Folded")]);
     }
 
     #[test]

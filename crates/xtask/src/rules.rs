@@ -173,8 +173,8 @@ pub const ALLOWLIST: &[BuiltinAllow] = &[
         path_suffix: "crates/core/src/sweep.rs",
         rule: "determinism-clock",
         needle: "Instant::now",
-        reason: "sweep watchdog: wall-clock timeouts of disposable worker threads; simulated \
-                 metrics are derived from replayed cycles and unaffected",
+        reason: "sweep watchdog: wall-clock timeouts of watched jobs' disposable threads; \
+                 simulated metrics are derived from replayed cycles and unaffected",
     },
     BuiltinAllow {
         path_suffix: "crates/core/src/sweep.rs",

@@ -4,11 +4,12 @@
 //! the spool-worker path (submit → accept → drain), whose peaks are
 //! read back from the worker's journal.
 //!
-//! The counting allocator charges a job's thread only, so each peak
-//! is a deterministic property of the simulation: the same bytes in
-//! the debug and the release profile and on either path. A job that
-//! peaks more than [`BOUND`] × its pin fails the test. Wall-clock
-//! timing is perfbench's concern (`perfbench/`).
+//! The counting allocator charges only the thread running the job, so
+//! each peak is a deterministic property of the simulation: the same
+//! bytes in the debug and the release profile, on either path, and
+//! whether the attempt runs inline on its worker or on a watched
+//! job thread. A job that peaks more than [`BOUND`] × its pin fails
+//! the test. Wall-clock timing is perfbench's concern (`perfbench/`).
 
 use dtexl::daemon::{run_spool_worker, WorkerOptions};
 use dtexl::spool::{JobSpec, Spool};
@@ -16,6 +17,7 @@ use dtexl::sweep::{latest_entries, run_sweep, PrefixCache, SweepJob, SweepOption
 use dtexl_scene::Game;
 use dtexl_sched::ScheduleConfig;
 use std::collections::BTreeMap;
+use std::time::Duration;
 
 const W: u32 = 480;
 const H: u32 = 192;
@@ -81,8 +83,8 @@ fn assert_within_bounds(path: &str, peaks: &BTreeMap<String, u64>) {
     );
 }
 
-#[test]
-fn direct_sweep_peaks_stay_within_their_pins() {
+/// Per-job peaks of the quick sweep straight through `run_sweep`.
+fn direct_sweep_peaks(opts: &SweepOptions) -> BTreeMap<String, u64> {
     let jobs: Vec<SweepJob> = Game::ALL
         .into_iter()
         .flat_map(|game| {
@@ -91,14 +93,32 @@ fn direct_sweep_peaks_stay_within_their_pins() {
                 .map(move |schedule| SweepJob::new(game, schedule, false, W, H, 0))
         })
         .collect();
-    let report = run_sweep(&jobs, &options(), |_, _| {}).unwrap();
+    let report = run_sweep(&jobs, opts, |_, _| {}).unwrap();
     assert!(report.is_success(), "{}", report.summary());
-    let peaks = report
+    report
         .records
         .iter()
         .map(|r| (r.key.clone(), r.peak_alloc.unwrap()))
-        .collect();
-    assert_within_bounds("run_sweep", &peaks);
+        .collect()
+}
+
+#[test]
+fn direct_sweep_peaks_stay_within_their_pins() {
+    assert_within_bounds("run_sweep", &direct_sweep_peaks(&options()));
+}
+
+/// A timeout puts every attempt on a watched job thread instead of the
+/// worker itself; the job allocates the same bytes either way.
+#[test]
+fn watched_sweep_peaks_equal_the_inline_peaks_and_their_pins() {
+    let inline = direct_sweep_peaks(&options());
+    let watched = direct_sweep_peaks(&SweepOptions {
+        job_timeout: Some(Duration::from_secs(600)),
+        ..options()
+    });
+    assert_eq!(watched, inline, "watched against inline peaks");
+    let pinned: BTreeMap<String, u64> = PINNED.into_iter().map(|(k, p)| (k.into(), p)).collect();
+    assert_eq!(watched, pinned, "watched peaks against their pins");
 }
 
 #[test]
