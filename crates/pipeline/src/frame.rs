@@ -288,10 +288,12 @@ impl FrameSim {
         probe: &mut P,
     ) -> FrameResult {
         let tsched = TileSchedule::build(schedule, prefix.tiles_w, prefix.tiles_h);
-        let tile_at = |(tx, ty): (u32, u32)| &prefix.tiles[(ty * prefix.tiles_w + tx) as usize];
+        let index = |(tx, ty): (u32, u32)| (ty * prefix.tiles_w + tx) as usize;
+        let tile_at = |tile| &prefix.tiles[index(tile)];
 
         // Partition pass, in schedule order: the fetch and raster
-        // durations, per-SC rasterized-quad counts and, per (tile, SC),
+        // durations, per-SC rasterized-quad counts (the tile's
+        // per-position counts summed per slot) and, per (tile, SC),
         // the survivors' tile-local indices — one flat index arena with
         // per-subtile ranges instead of four `Vec<Quad>` re-merge
         // buffers per tile. A quad's SC is its slot in the grouping
@@ -321,10 +323,7 @@ impl FrameSim {
                 tile,
                 ..TileRecord::default()
             };
-            let mut per_slot = [0u32; 4];
-            for &pos in &*tp.rast_pos {
-                per_slot[slots.slot_of_pos(pos)] += 1;
-            }
+            let per_slot = slots.per_slot(prefix.rast_counts(index(tile)));
             for (&sc, n) in assign.iter().zip(per_slot) {
                 rec.quads_rasterized[usize::from(sc)] += n;
             }
@@ -486,6 +485,72 @@ mod tests {
     fn small_result(schedule: ScheduleConfig) -> FrameResult {
         let scene = Game::GravityTetris.scene(&SceneSpec::new(256, 128, 0));
         FrameSim::try_run(&scene, &schedule, &PipelineConfig::default(), 256, 128).unwrap()
+    }
+
+    #[test]
+    fn rasterized_counts_equal_a_direct_count_under_every_grouping() {
+        // The oracle re-rasterizes every tile and maps each quad through
+        // `sc_of_quad`, bypassing the prefix's per-position counts and
+        // the leg's slot table. 65×31 leaves partial edge tiles.
+        use crate::{GeometryPipeline, Rasterizer, TilingEngine};
+        use dtexl_gmath::Rect;
+        use dtexl_sched::{AssignMode, QuadGrouping, TileOrder};
+        let config = PipelineConfig::default();
+        let qps = config.quads_per_side();
+        let assignments = [
+            AssignMode::Const,
+            AssignMode::Flip1,
+            AssignMode::Flip2,
+            AssignMode::Flip3,
+        ];
+        for game in [Game::RiseOfKingdoms, Game::CandyCrush] {
+            for (w, h) in [(65, 31), (128, 64)] {
+                let scene = game.scene(&SceneSpec::new(w, h, 0));
+                let gout = GeometryPipeline::new(config.vertex_cache).run(&scene, w, h);
+                let bins =
+                    TilingEngine::new(config.tile_cache, config.tile_size).bin(&gout.prims, w, h);
+                let raster = Rasterizer::new(config.tile_size);
+                let screen = Rect::new(0, 0, w as i32, h as i32);
+                let rasterized = |(tx, ty): (u32, u32)| {
+                    let mut quads = Vec::new();
+                    raster.rasterize_tile_into(
+                        &gout.prims,
+                        bins.list(tx, ty),
+                        (tx * config.tile_size) as i32,
+                        (ty * config.tile_size) as i32,
+                        screen,
+                        &mut quads,
+                    );
+                    quads
+                };
+                for grouping in QuadGrouping::ALL {
+                    for assignment in assignments {
+                        let schedule = ScheduleConfig {
+                            grouping,
+                            order: TileOrder::HILBERT8,
+                            assignment,
+                        };
+                        let r = FrameSim::try_run(&scene, &schedule, &config, w, h).unwrap();
+                        let tsched = TileSchedule::build(&schedule, bins.tiles_w(), bins.tiles_h());
+                        assert_eq!(r.tiles.len(), tsched.len());
+                        for ((ti, tile, _), rec) in tsched.iter().zip(&r.tiles) {
+                            let mut want = [0u32; 4];
+                            for q in rasterized(tile) {
+                                want[tsched.sc_of_quad(ti, q.qx, q.qy, qps, qps)] += 1;
+                            }
+                            assert_eq!(
+                                (rec.tile, rec.quads_rasterized),
+                                (tile, want),
+                                "{} {w}x{h} {}/{}",
+                                game.alias(),
+                                grouping.name(),
+                                assignment.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

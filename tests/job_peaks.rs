@@ -29,25 +29,25 @@ const BOUND: (u64, u64) = (5, 4);
 /// runs first and builds the frame prefix; its CG (dtexl) leg reuses
 /// the cached prefix and peaks at the leg alone.
 const PINNED: [(&str, u64); 20] = [
-    ("CCS|FG-xshift2/Z-order/const|base|480x192#0", 3_465_026),
+    ("CCS|FG-xshift2/Z-order/const|base|480x192#0", 3_271_328),
     ("CCS|CG-square/Hilbert/flp2|base|480x192#0", 812_228),
-    ("SoD|FG-xshift2/Z-order/const|base|480x192#0", 1_194_912),
+    ("SoD|FG-xshift2/Z-order/const|base|480x192#0", 1_170_404),
     ("SoD|CG-square/Hilbert/flp2|base|480x192#0", 438_020),
-    ("TRu|FG-xshift2/Z-order/const|base|480x192#0", 1_201_414),
+    ("TRu|FG-xshift2/Z-order/const|base|480x192#0", 1_180_012),
     ("TRu|CG-square/Hilbert/flp2|base|480x192#0", 440_744),
-    ("SWa|FG-xshift2/Z-order/const|base|480x192#0", 1_067_270),
+    ("SWa|FG-xshift2/Z-order/const|base|480x192#0", 1_054_204),
     ("SWa|CG-square/Hilbert/flp2|base|480x192#0", 432_620),
-    ("CRa|FG-xshift2/Z-order/const|base|480x192#0", 1_207_130),
+    ("CRa|FG-xshift2/Z-order/const|base|480x192#0", 1_180_260),
     ("CRa|CG-square/Hilbert/flp2|base|480x192#0", 444_620),
-    ("RoK|FG-xshift2/Z-order/const|base|480x192#0", 3_735_466),
+    ("RoK|FG-xshift2/Z-order/const|base|480x192#0", 3_509_468),
     ("RoK|CG-square/Hilbert/flp2|base|480x192#0", 877_332),
-    ("DDS|FG-xshift2/Z-order/const|base|480x192#0", 1_123_700),
+    ("DDS|FG-xshift2/Z-order/const|base|480x192#0", 1_108_000),
     ("DDS|CG-square/Hilbert/flp2|base|480x192#0", 434_492),
-    ("Snp|FG-xshift2/Z-order/const|base|480x192#0", 1_150_700),
+    ("Snp|FG-xshift2/Z-order/const|base|480x192#0", 1_131_640),
     ("Snp|CG-square/Hilbert/flp2|base|480x192#0", 438_144),
-    ("Mze|FG-xshift2/Z-order/const|base|480x192#0", 1_251_096),
+    ("Mze|FG-xshift2/Z-order/const|base|480x192#0", 1_226_240),
     ("Mze|CG-square/Hilbert/flp2|base|480x192#0", 455_344),
-    ("GTr|FG-xshift2/Z-order/const|base|480x192#0", 1_640_876),
+    ("GTr|FG-xshift2/Z-order/const|base|480x192#0", 1_595_844),
     ("GTr|CG-square/Hilbert/flp2|base|480x192#0", 455_532),
 ];
 

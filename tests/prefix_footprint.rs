@@ -44,21 +44,24 @@ fn approx_bytes_is_the_live_heap_of_a_compact_prefix() {
         );
 
         // The arena lengths, from the leg's public counters: every
-        // rasterized quad is counted once, every survivor is shaded
-        // once and walks its whole footprint once.
+        // survivor is shaded once and walks its whole footprint once.
+        // Rasterized quads cost 2 bytes per tile-local position, not
+        // per quad.
         let r = FrameSim::try_run_prefixed(&prefix, &ScheduleConfig::baseline(), &config).unwrap();
-        let sum = |f: fn(&dtexl_pipeline::TileRecord) -> [u32; 4]| -> u64 {
-            r.tiles.iter().flat_map(f).map(u64::from).sum()
-        };
-        let rasterized = sum(|t| t.quads_rasterized);
-        let survivors = sum(|t| t.quads_shaded);
+        let survivors: u64 = r
+            .tiles
+            .iter()
+            .flat_map(|t| t.quads_shaded)
+            .map(u64::from)
+            .sum();
         let lines = r.shader.line_accesses;
         let tiles = r.tiles.len() as u64;
-        let bound = 2 * rasterized + 8 * survivors + 4 * lines + 64 * tiles + 4096;
+        let positions = u64::from(config.quads_per_side()).pow(2) * tiles;
+        let bound = 2 * positions + 8 * survivors + 4 * lines + 64 * tiles + 4096;
         assert!(
             approx <= bound,
             "{}: approx_bytes {approx} over the compact layout's {bound} \
-             ({rasterized} rasterized, {survivors} survivors, {lines} lines, {tiles} tiles)",
+             ({positions} quad positions, {survivors} survivors, {lines} lines, {tiles} tiles)",
             game.alias()
         );
     }
